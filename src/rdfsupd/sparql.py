@@ -34,7 +34,7 @@ from rdfsupd.model import (
     Var,
     classify_triple,
 )
-from rdfsupd.turtle import DEFAULT_PREFIXES
+from rdfsupd.turtle import DEFAULT_PREFIXES, make_iri
 
 _UNSUPPORTED_KEYWORDS = {
     "OPTIONAL", "FILTER", "MINUS", "GRAPH", "SERVICE", "BIND", "VALUES",
@@ -209,13 +209,13 @@ class _Parser:
                 self.var_order.append(v)
             return v
         if tok.kind == "iriref":
-            return Iri(tok.text[1:-1])
+            return make_iri(tok.text[1:-1], tok)
         if tok.kind == "pname":
             prefix, _, local = tok.text.partition(":")
             ns = self.prefixes.get(prefix)
             if ns is None:
                 raise ParseError(f"undeclared prefix {prefix!r}", tok.line, tok.col)
-            return Iri(ns + local)
+            return make_iri(ns + local, tok)
         if allow_a and tok.kind == "word" and tok.text == "a":
             return RDF_TYPE
         self._unexpected(tok, what)

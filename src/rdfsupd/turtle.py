@@ -88,6 +88,13 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def make_iri(value: str, tok) -> Iri:
+    """The IRI a token denotes; an empty one is a syntax error at the token."""
+    if not value:
+        raise ParseError("empty IRI", tok.line, tok.col)
+    return Iri(value)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -115,12 +122,12 @@ class _Parser:
         ns = self.prefixes.get(prefix)
         if ns is None:
             raise ParseError(f"undeclared prefix {prefix!r}", tok.line, tok.col)
-        return Iri(ns + local)
+        return make_iri(ns + local, tok)
 
     def parse_term(self, what: str) -> Iri:
         tok = self.next()
         if tok.kind == "iriref":
-            return Iri(tok.text[1:-1])
+            return make_iri(tok.text[1:-1], tok)
         if tok.kind == "pname":
             return self.expand_pname(tok)
         raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)

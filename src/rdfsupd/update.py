@@ -48,9 +48,8 @@ from rdfsupd.model import (
     classify_triple,
     ground_atom_wellformed,
     substitute,
-    term_key,
 )
-from rdfsupd.query import AnswerSet, update_solutions
+from rdfsupd.query import AnswerSet, stored_matches, update_solutions
 from rdfsupd.rewrite import (
     CutDirection,
     build_cut_update,
@@ -133,29 +132,35 @@ def _finish_atom(a: Atom) -> Optional[Atom]:
 
 def _ground_template(template: Bgp, theta: Substitution,
                      free: frozenset = frozenset(),
-                     universe: frozenset = frozenset()) -> Iterable[Atom]:
+                     store: Optional[TripleStore] = None,
+                     match: bool = False) -> Iterable[Atom]:
     """Ground instantiations of a template under one solution.
 
     Variables in `free` are any-term binder variables: they range over the
-    whole term universe independently, so each template atom grounds them
-    locally instead of the caller enumerating their cross product.
+    whole term universe of `store` independently, so each template atom
+    grounds them locally instead of the caller enumerating their cross
+    product.  With `match`, a storable atom grounds them only to the facts
+    of `store` it matches; this is for delete templates whose result is
+    only subtracted from the store, where an absent fact deletes nothing.
     """
     for atom in template:
         a = substitute(atom, theta)
         missing = atom_vars(a)
         if not missing:
-            done = _finish_atom(a)
+            groundings = (a,)
+        elif not missing <= free:
+            continue
+        elif match and isinstance(a, TBOX_KINDS + ABOX_KINDS):
+            groundings = (substitute(a, s) for s in stored_matches(a, store))
+        else:
+            order = tuple(missing)
+            universe = store.terms if store is not None else ()
+            groundings = (substitute(a, dict(zip(order, combo)))
+                          for combo in product(universe, repeat=len(order)))
+        for g in groundings:
+            done = _finish_atom(g)
             if done is not None:
                 yield done
-            continue
-        if missing <= free:
-            for combo in product(sorted(universe, key=term_key),
-                                 repeat=len(missing)):
-                done = _finish_atom(substitute(a, dict(zip(sorted(missing,
-                                                                  key=term_key),
-                                                           combo))))
-                if done is not None:
-                    yield done
 
 
 def instantiate(op: UpdateOperation, bindings) -> InstantiationResult:
@@ -168,24 +173,36 @@ def instantiate(op: UpdateOperation, bindings) -> InstantiationResult:
     """
     if isinstance(bindings, AnswerSet):
         bindings = bindings.substitutions()
-    return _instantiate_stream(
-        op, ((theta, frozenset()) for theta in bindings), frozenset()
-    )
+    return _instantiate_stream(op, ((theta, frozenset()) for theta in bindings))
 
 
-def _instantiate_stream(op: UpdateOperation, solutions, universe: frozenset
-                        ) -> InstantiationResult:
+def _instantiate_stream(op: UpdateOperation, solutions,
+                        store: Optional[TripleStore] = None,
+                        match_deletes: bool = False) -> InstantiationResult:
+    """Ground both templates under each solution of the stream.
+
+    Solutions that agree on the template variables and on their free set
+    ground to the same atoms, so only the first of them is grounded.
+    """
+    template_vars = tuple(op.delete_template.vars() | op.insert_template.vars())
+    seen = set()
     deletes, inserts = set(), set()
     for theta, free in solutions:
-        deletes.update(_ground_template(op.delete_template, theta, free, universe))
-        inserts.update(_ground_template(op.insert_template, theta, free, universe))
+        key = (tuple(theta.get(v) for v in template_vars), free)
+        if key in seen:
+            continue
+        seen.add(key)
+        deletes.update(_ground_template(op.delete_template, theta, free, store,
+                                        match_deletes))
+        inserts.update(_ground_template(op.insert_template, theta, free, store))
     return InstantiationResult(frozenset(deletes), frozenset(inserts))
 
 
-def _evaluate(op: UpdateOperation, store: TripleStore,
-              entailed: bool = False) -> InstantiationResult:
+def _evaluate(op: UpdateOperation, store: TripleStore, entailed: bool = False,
+              match_deletes: bool = False) -> InstantiationResult:
     return _instantiate_stream(
-        op, update_solutions(op.where, store, entailed=entailed), store.terms
+        op, update_solutions(op.where, store, entailed=entailed), store,
+        match_deletes,
     )
 
 
@@ -203,7 +220,7 @@ def _apply_sets(store: TripleStore, inst: InstantiationResult) -> TripleStore:
 
 def apply_naive(store: TripleStore, op: UpdateOperation) -> TripleStore:
     """Baseline: simple-entailment WHERE, set-wise delete then insert."""
-    inst = _evaluate(op, store)
+    inst = _evaluate(op, store, match_deletes=True)
     return _apply_sets(store, inst)
 
 
@@ -238,6 +255,8 @@ def apply_mat1a(store: TripleStore, op: UpdateOperation) -> TripleStore:
     survive: the strategy tracks no provenance."""
     _require_mode(store, StoreMode.MATERIALISED, "run mat first")
     _reject_terminological_templates(op, "mat1a")
+    # Deletes are ground over the term universe: an instantiation that is
+    # not stored still has consequences to erase.
     inst = _evaluate(op, store)
     delete_closure = abox_fixpoint(store.tbox, inst.delete_abox)
     abox = (store.abox - delete_closure) | inst.insert_abox
@@ -293,7 +312,8 @@ def apply_red0(store: TripleStore, op: UpdateOperation,
     """
     _require_mode(store, StoreMode.REDUCED, "run red first")
     _reject_terminological_templates(op, "red0")
-    inst = _evaluate(op, store, entailed=where_regime != "simple")
+    inst = _evaluate(op, store, entailed=where_regime != "simple",
+                     match_deletes=True)
     return reduce_store(_apply_sets(store, inst))
 
 

@@ -88,3 +88,31 @@ def test_effect_expansion_is_closure_operator(tbox, atoms):
     once = all_effects(bgp, tbox)
     assert bgp.atoms <= once.atoms
     assert all_effects(once, tbox) == once
+
+
+# Fragments of both grammars, valid and not, so that random sequences reach
+# deep into the parsers instead of failing at the first character.
+_SYNTAX = st.sampled_from([
+    "<>", "<http://e/x>", "<a b>", ":", ":x", "e:", "e:y", "rdf:type",
+    "rdfs:Resource", "rdfs:subClassOf", "rdfs:domain", "owl:x", "a", ".",
+    ";", ",", "*", "{", "}", "?x", "?y", "?", "@prefix", "PREFIX", "SELECT",
+    "WHERE", "DELETE", "INSERT", "DATA", "UNION", "OPTIONAL", "_:b", '"s"',
+    "1", "(", "#c", "\n", " ", "\\", "^", "|",
+])
+_documents = st.lists(_SYNTAX, max_size=14).map(" ".join) | st.text(max_size=30)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_documents)
+def test_parsers_raise_only_package_errors(text):
+    from rdfsupd.errors import RdfsUpdError
+    from rdfsupd.sparql import parse_query, parse_update
+    from rdfsupd.turtle import parse_turtle
+
+    for parse in (parse_turtle,
+                  parse_query, lambda t: parse_query(t, general=True),
+                  parse_update, lambda t: parse_update(t, general=True)):
+        try:
+            parse(text)
+        except RdfsUpdError:
+            pass

@@ -1,5 +1,5 @@
 from conftest import ex
-from rdfsupd.entailment import tbox_closure
+from rdfsupd.entailment import materialise, tbox_closure
 from rdfsupd.model import (
     RDFS_SUBCLASSOF,
     AnyTermAtom,
@@ -13,7 +13,7 @@ from rdfsupd.model import (
     UnionPattern,
     Var,
 )
-from rdfsupd.oracle import GenConfig, gen_query, gen_store
+from rdfsupd.oracle import GenConfig, _store_vocab, gen_query, gen_store
 from rdfsupd.query import (
     answers_rdfs_materialisation,
     answers_rdfs_rewriting,
@@ -238,3 +238,133 @@ class TestEntailedAnswers:
                 )
             )
         assert all(r == expected for r in results)
+
+
+def _shared_var_bgp(rng, store, n_atoms=3):
+    """`n_atoms` distinct atoms over three variables, each sharing a
+    variable with an earlier one, drawn from the store's vocabulary."""
+    classes, props, inds = _store_vocab(store)
+    variables = [Var("v0"), Var("v1"), Var("v2")]
+    atoms = []
+    while len(atoms) < n_atoms:
+        used = Bgp(frozenset(atoms)).vars()
+        shared = rng.choice(sorted(used or variables, key=str))
+        other = rng.choice(variables) if rng.random() < 0.8 else rng.choice(inds)
+        if rng.random() < 0.5:
+            atom = ClassAtom(shared, rng.choice(classes))
+        else:
+            s, o = (shared, other) if rng.random() < 0.5 else (other, shared)
+            atom = RoleAtom(s, rng.choice(props), o)
+        if atom not in atoms:
+            atoms.append(atom)
+    return Bgp(frozenset(atoms))
+
+
+class TestJoinOfUnions:
+    """Rewriting is answered as a join of per-atom unions; the full union
+    from `rewrite_bgp` stays the specification."""
+
+    def test_join_equals_full_union_and_oracle(self):
+        import random
+
+        from rdfsupd.oracle import oracle_mat
+        from rdfsupd.rewrite import rewrite_bgp
+
+        checked = 0
+        for seed in range(100):
+            for cycles in (False, True):
+                store = gen_store(GenConfig(
+                    seed=seed, max_classes=12, max_props=4, max_individuals=10,
+                    max_axioms=16, max_assertions=60, allow_cycles=cycles))
+                if not any(isinstance(a, ClassAtom) for a in store.abox) \
+                        or not any(isinstance(a, RoleAtom) for a in store.abox):
+                    continue
+                rng = random.Random(seed * 2 + cycles)
+                for n_atoms in (2, 3):
+                    bgp = _shared_var_bgp(rng, store, n_atoms)
+                    vars_ = tuple(sorted(bgp.vars(), key=str))
+                    joined = answers_rdfs_rewriting(UnionPattern.single(bgp),
+                                                    store, vars_)
+                    union = rewrite_bgp(bgp, store.tbox).ucq
+                    full = eval_simple(union, store, vars_)
+                    closed = answers_rdfs_materialisation(
+                        UnionPattern.single(bgp), oracle_mat(store), vars_)
+                    assert joined == full == closed, (seed, cycles, bgp)
+                    checked += 1
+        assert checked >= 250
+
+    def test_fully_bound_atom_matched_once(self, family_store):
+        # `:joe a :Child` holds through several unfoldings; one row, not more.
+        q = parse_query("SELECT ?Y WHERE { :joe a :Child. :joe :hasParent ?Y. }")
+        got = answers_rdfs_rewriting(q.where, family_store, q.select_vars)
+        assert rows(got) == {(ex("jack"),), (ex("jane"),)}
+
+
+class TestSnapshotIndex:
+    def test_index_reused_and_does_not_keep_store_alive(self, family_store):
+        import gc
+        import weakref
+
+        from rdfsupd.query import _index
+
+        store = TripleStore(family_store.tbox, family_store.abox_explicit)
+        q = parse_query("SELECT ?Y WHERE { :joe :hasParent ?Y. }")
+        gc.disable()
+        try:
+            answers_rdfs_rewriting(q.where, store, q.select_vars)
+            first = _index(store)
+            answers_rdfs_materialisation(q.where, materialise(store), q.select_vars)
+            eval_simple(q.where, store, q.select_vars)
+            assert _index(store) is first
+            ref = weakref.ref(store)
+            del store
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_maps_built_on_first_use(self, family_store):
+        from rdfsupd.query import _index
+
+        store = TripleStore(family_store.tbox, family_store.abox_explicit)
+        eval_simple(UnionPattern.empty(), store)
+        idx = _index(store)
+        assert not {"instances", "objects", "subjects", "roles_by_pred"} \
+            & set(vars(idx))
+        assert "terms" not in vars(store)
+        q = parse_query("SELECT ?X WHERE { ?X a :Child. }")
+        eval_simple(q.where, store, q.select_vars)
+        assert "instances" in vars(idx) and "objects" not in vars(idx)
+
+    def test_concurrent_first_queries_on_fresh_snapshots(self, family_store):
+        # Threads race to build the index and its maps on a snapshot that
+        # has none yet; every answer must still be complete.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        texts = ("SELECT ?Y WHERE { :joe :hasParent ?Y. }",
+                 "SELECT ?X WHERE { ?X a :Parent. }",
+                 "SELECT ?X ?Y WHERE { ?X :hasParent ?Y. ?Y a :Mother. }")
+        queries = [parse_query(t) for t in texts]
+        answer = (answers_rdfs_rewriting, answers_rdfs_materialisation)
+        expected = [rows(answer[i % 2](queries[i % 3].where, family_store,
+                                       queries[i % 3].select_vars))
+                    for i in range(6)]
+        assert all(expected)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                store = TripleStore(family_store.tbox, family_store.abox_explicit)
+                closed = materialise(store)
+
+                def ask(i):
+                    target = store if i % 2 == 0 else closed
+                    q = queries[i % 3]
+                    return rows(answer[i % 2](q.where, target, q.select_vars))
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(ask, i) for i in range(48)]
+                    got = [f.result(timeout=60) for f in futures]
+                assert got == [expected[i % 6] for i in range(48)]
+        finally:
+            sys.setswitchinterval(old)

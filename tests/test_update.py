@@ -11,6 +11,8 @@ from rdfsupd.entailment import (
 from rdfsupd.errors import ModeError, UnsupportedFeature
 from rdfsupd.model import (
     ClassAtom,
+    DomainAtom,
+    RangeAtom,
     RoleAtom,
     StoreMode,
     SubClassAtom,
@@ -18,10 +20,13 @@ from rdfsupd.model import (
     Var,
 )
 from rdfsupd.oracle import GenConfig, gen_store, gen_update
+from rdfsupd.query import update_solutions
+from rdfsupd.rewrite import build_mat2_update, build_red1_update
 from rdfsupd.sparql import parse_update
 from rdfsupd.turtle import parse_turtle
 from rdfsupd.update import (
     Semantics,
+    _instantiate_stream,
     apply_mat1b,
     apply_naive,
     apply_red0,
@@ -421,3 +426,63 @@ class TestPreservation:
             red = reduce_store(plain)
             for sem in (Semantics.RED0, Semantics.RED1):
                 assert is_reduced(run(red, op, sem)), (seed, sem)
+
+
+class TestDeleteGrounding:
+    """Where deletions are only subtracted from the store, a delete atom
+    whose variables come from any-term binders is matched against the
+    snapshot's index instead of ground over the whole term universe; the
+    universe grounding, intersected with the store, is the specification."""
+
+    def test_index_matching_equals_universe_grounding_on_store(self):
+        with_binders = 0
+        for seed in range(60):
+            cfg = GenConfig(seed=seed, max_classes=8, max_props=3,
+                            max_individuals=6, max_axioms=10,
+                            max_assertions=30, allow_cycles=seed % 2 == 1)
+            plain = gen_store(cfg)
+            ops = [gen_update(cfg, plain)]
+            # Deleting a class with a domain or range gives the rewritten
+            # delete template witness variables bound by any-term binders.
+            ranged = sorted({ax.cls for ax in plain.tbox
+                             if isinstance(ax, (DomainAtom, RangeAtom))})
+            if ranged:
+                c = ranged[seed % len(ranged)]
+                ops.append(parse_update(
+                    f"DELETE {{ ?w a {c} }} INSERT {{ ?w a {c} }} "
+                    f"WHERE {{ ?w a {c} }}"))
+            for op in ops:
+                for store, build in ((materialise(plain), build_mat2_update),
+                                     (reduce_store(plain), build_red1_update)):
+                    rewritten = build(op, store.tbox)
+                    solutions = list(update_solutions(rewritten.where, store))
+                    matched = _instantiate_stream(rewritten, solutions, store, True)
+                    universal = _instantiate_stream(rewritten, solutions, store,
+                                                    False)
+                    stored = store.abox | store.tbox
+                    # Matching drops only instantiations that are not stored.
+                    assert matched.deletes <= universal.deletes, seed
+                    assert matched.deletes & stored \
+                        == universal.deletes & stored, seed
+                    assert matched.inserts == universal.inserts, seed
+                    with_binders += any(free for _, free in solutions)
+        assert with_binders >= 30
+
+    def test_mat1a_still_deletes_consequences_of_absent_facts(self):
+        store = materialise(parse_turtle(
+            ":A rdfs:subClassOf :B . :x a :B . :y a :A ."))
+        op = parse_update("DELETE { ?z a :A } WHERE { ?z a rdfs:Resource }")
+        # `:x a :A` is not stored, but mat1a deletes what it entails.
+        assert run(store, op, Semantics.MAT1A).abox == frozenset()
+        # mat0 subtracts stored facts only and keeps `:x a :B`.
+        assert classes_of(run(store, op, Semantics.MAT0)) == {("x", "B"), ("y", "B")}
+
+    def test_insert_data_builds_no_index_map(self, family_store):
+        from rdfsupd.query import _index
+
+        store = TripleStore(family_store.tbox, family_store.abox_explicit)
+        out = apply_naive(store, parse_update("INSERT DATA { :zoe a :Child }"))
+        assert ClassAtom(ex("zoe"), ex("Child")) in out.abox
+        assert "terms" not in vars(store)
+        assert not {"instances", "classes_of", "objects", "subjects",
+                    "roles_by_pred", "tbox_pairs"} & set(vars(_index(store)))
