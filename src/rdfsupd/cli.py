@@ -49,11 +49,6 @@ _MODE_BY_NAME = {
     "reduced": StoreMode.REDUCED,
 }
 
-_REQUIRED_MODE = {
-    **{s: StoreMode.MATERIALISED for s in upd._MAT_SEMANTICS},
-    **{s: StoreMode.REDUCED for s in upd._RED_SEMANTICS},
-}
-
 
 def _load(paths: list[str]) -> TripleStore:
     tbox, abox = frozenset(), frozenset()
@@ -82,6 +77,15 @@ def _emit_store(store: TripleStore, out: Optional[str]):
         sys.stdout.write(text)
 
 
+def _print_diff(before: TripleStore, after: TripleStore):
+    """Removed triples as `- ` lines, then added ones as `+ ` lines, sorted."""
+    diff = store_diff(before, after)
+    for sign, atoms in (("-", diff.removed_tbox | diff.removed_abox),
+                        ("+", diff.added_tbox | diff.added_abox)):
+        for line in sorted(_render_triple(*atom_to_triple(a)) for a in atoms):
+            print(f"{sign} {line}")
+
+
 def _render_row(row, shorten) -> tuple[str, ...]:
     return tuple(shorten(term) for term in row)
 
@@ -105,7 +109,7 @@ def cmd_query(args) -> int:
 
 def cmd_update(args) -> int:
     semantics = upd.Semantics.parse(args.semantics)
-    required = _REQUIRED_MODE.get(semantics)
+    required = semantics.mode
     mode = _MODE_BY_NAME[args.mode] if args.mode else (required or StoreMode.PLAIN)
     if required is not None and mode is not required:
         raise ModeError(
@@ -118,19 +122,7 @@ def cmd_update(args) -> int:
     op = parse_update(args.update, general=args.general)
     result = upd.run(store, op, semantics, where_regime=args.where_regime)
     if args.diff:
-        diff = store_diff(store, result)
-        removed = sorted(
-            _render_triple(*atom_to_triple(a))
-            for a in diff.removed_tbox | diff.removed_abox
-        )
-        added = sorted(
-            _render_triple(*atom_to_triple(a))
-            for a in diff.added_tbox | diff.added_abox
-        )
-        for line in removed:
-            print(f"- {line}")
-        for line in added:
-            print(f"+ {line}")
+        _print_diff(store, result)
         if args.out:
             _emit_store(result, args.out)
     else:
@@ -157,19 +149,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    before = _load([args.old])
-    after = _load([args.new])
-    diff = store_diff(before, after)
-    for line in sorted(
-        _render_triple(*atom_to_triple(a))
-        for a in diff.removed_tbox | diff.removed_abox
-    ):
-        print(f"- {line}")
-    for line in sorted(
-        _render_triple(*atom_to_triple(a))
-        for a in diff.added_tbox | diff.added_abox
-    ):
-        print(f"+ {line}")
+    _print_diff(_load([args.old]), _load([args.new]))
     return 0
 
 

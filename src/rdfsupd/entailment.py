@@ -7,6 +7,23 @@ terminological rules close subclass/subproperty chains transitively.
 assertional four, and `reduce_store` strips every assertion derivable from
 the remaining ones, keeping one lexicographically-smallest representative
 per subsumption cycle so no entailments are lost.
+
+The engines intern classes and properties as ints (`_Codec`), and the
+closure every term:
+
+- The assertional closure is semi-naive: each fact is expanded once along
+  the direct TBox edges, so chains through a non-closed TBox are followed
+  by iteration rather than by pre-closing the TBox.
+- The subsumption closure runs one depth-first search per source over an
+  adjacency map (Tarjan 1972; Nuutila 1995).  A node on a cycle reaches
+  itself; no other pair is reflexive.
+- Reduction reads the equivalence classes off the mutual pairs of that
+  closure and names each class by one of its members.  One pass groups
+  each individual's classes, and each pair's properties, by that name.  A
+  group keeps its smallest present member (by IRI) unless facts outside
+  the group derive it.
+- `is_materialised` applies the four rules once: a set is closed exactly
+  when one step adds nothing.
 """
 
 from __future__ import annotations
@@ -14,11 +31,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable
 
-from rdfsupd import kernel
 from rdfsupd.model import (
     ClassAtom,
     DomainAtom,
-    Iri,
     RangeAtom,
     RoleAtom,
     StoreMode,
@@ -52,8 +67,13 @@ ABOX_RULES = frozenset(
 TBOX_RULES = frozenset({RuleId.SP_TRANS, RuleId.SC_TRANS})
 
 
+Pair = tuple[int, int]
+Triple = tuple[int, int, int]
+Edges = dict[int, set[int]]
+
+
 class _Codec:
-    """Bidirectional term <-> int interning for kernel calls.
+    """Bidirectional term <-> int interning for the closure kernels.
 
     Variables are interned like IRIs, so pattern closure (treating variables
     as constants) reuses the same kernels.
@@ -75,20 +95,94 @@ class _Codec:
         return self._terms[i]
 
 
-def _encode_tbox(codec: _Codec, tbox: Iterable):
-    sc, sp, dom, rng = [], [], [], []
+def _encode_tbox(codec: _Codec, tbox: Iterable) -> tuple[Edges, Edges, Edges, Edges]:
+    """Subclass, subproperty, domain and range edges as adjacency maps."""
+    sc: Edges = {}
+    sp: Edges = {}
+    dom: Edges = {}
+    rng: Edges = {}
     for ax in tbox:
         if isinstance(ax, SubClassAtom):
-            sc.append((codec.enc(ax.sub), codec.enc(ax.sup)))
+            edges, a, b = sc, ax.sub, ax.sup
         elif isinstance(ax, SubPropAtom):
-            sp.append((codec.enc(ax.sub), codec.enc(ax.sup)))
+            edges, a, b = sp, ax.sub, ax.sup
         elif isinstance(ax, DomainAtom):
-            dom.append((codec.enc(ax.prop), codec.enc(ax.cls)))
+            edges, a, b = dom, ax.prop, ax.cls
         elif isinstance(ax, RangeAtom):
-            rng.append((codec.enc(ax.prop), codec.enc(ax.cls)))
+            edges, a, b = rng, ax.prop, ax.cls
         else:
             raise TypeError(f"not a terminological axiom: {ax!r}")
+        edges.setdefault(codec.enc(a), set()).add(codec.enc(b))
     return sc, sp, dom, rng
+
+
+def _encode_abox(codec: _Codec, abox: Iterable) -> tuple[set[Pair], set[Triple]]:
+    """(inst, cls) memberships and (subj, prop, obj) role assertions."""
+    enc = codec.enc
+    classes: set[Pair] = set()
+    roles: set[Triple] = set()
+    for a in abox:
+        if isinstance(a, ClassAtom):
+            classes.add((enc(a.inst), enc(a.cls)))
+        elif isinstance(a, RoleAtom):
+            roles.add((enc(a.subj), enc(a.prop), enc(a.obj)))
+        else:
+            raise TypeError(f"not an assertional atom: {a!r}")
+    return classes, roles
+
+
+def _abox_closure(sc: Edges, sp: Edges, dom: Edges, rng: Edges,
+                  classes: set[Pair], roles: set[Triple]
+                  ) -> tuple[set[Pair], set[Triple]]:
+    """Fixpoint of the four assertional rules; each fact is expanded once."""
+    cls_out = set(classes)
+    role_out = set(roles)
+    cls_todo = list(cls_out)
+    role_todo = list(role_out)
+    # Roles first: no rule derives a role from a class membership.
+    while role_todo:
+        s, p, o = role_todo.pop()
+        for q in sp.get(p, ()):
+            f = (s, q, o)
+            if f not in role_out:
+                role_out.add(f)
+                role_todo.append(f)
+        for c in dom.get(p, ()):
+            f = (s, c)
+            if f not in cls_out:
+                cls_out.add(f)
+                cls_todo.append(f)
+        for c in rng.get(p, ()):
+            f = (o, c)
+            if f not in cls_out:
+                cls_out.add(f)
+                cls_todo.append(f)
+    while cls_todo:
+        i, c = cls_todo.pop()
+        for d in sc.get(c, ()):
+            f = (i, d)
+            if f not in cls_out:
+                cls_out.add(f)
+                cls_todo.append(f)
+    return cls_out, role_out
+
+
+def _reach(edges: Edges) -> Edges:
+    """Every node reachable from each source by one or more edges.
+
+    One depth-first search per source.  A node on a cycle reaches itself.
+    """
+    reach: Edges = {}
+    for src in edges:
+        seen: set[int] = set()
+        stack = [src]
+        while stack:
+            for b in edges.get(stack.pop(), ()):
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        reach[src] = seen
+    return reach
 
 
 def abox_fixpoint(tbox: Iterable, abox: Iterable) -> frozenset:
@@ -97,22 +191,16 @@ def abox_fixpoint(tbox: Iterable, abox: Iterable) -> frozenset:
     Accepts atoms with variables (treated as opaque constants), which is how
     effect expansion of templates reuses this.
     """
+    abox = frozenset(abox)
     codec = _Codec()
     sc, sp, dom, rng = _encode_tbox(codec, tbox)
-    classes, roles = [], []
-    for a in abox:
-        if isinstance(a, ClassAtom):
-            classes.append((codec.enc(a.inst), codec.enc(a.cls)))
-        elif isinstance(a, RoleAtom):
-            roles.append((codec.enc(a.subj), codec.enc(a.prop), codec.enc(a.obj)))
-        else:
-            raise TypeError(f"not an assertional atom: {a!r}")
-    cls_out, role_out = kernel.abox_closure(sc, sp, dom, rng, classes, roles)
-    out = {ClassAtom(codec.dec(i), codec.dec(c)) for i, c in cls_out}
-    out.update(
-        RoleAtom(codec.dec(s), codec.dec(p), codec.dec(o)) for s, p, o in role_out
-    )
-    return frozenset(out)
+    classes, roles = _encode_abox(codec, abox)
+    cls_out, role_out = _abox_closure(sc, sp, dom, rng, classes, roles)
+    # Only derived facts are decoded; the input atoms are reused as they are.
+    dec = codec.dec
+    new = {ClassAtom(dec(i), dec(c)) for i, c in cls_out - classes}
+    new.update(RoleAtom(dec(s), dec(p), dec(o)) for s, p, o in role_out - roles)
+    return abox.union(new)
 
 
 def tbox_closure(tbox: Iterable) -> frozenset:
@@ -120,15 +208,11 @@ def tbox_closure(tbox: Iterable) -> frozenset:
     tbox = frozenset(tbox)
     codec = _Codec()
     sc, sp, _, _ = _encode_tbox(codec, tbox)
+    dec = codec.dec
     out = set(tbox)
-    out.update(
-        SubClassAtom(codec.dec(a), codec.dec(b))
-        for a, b in kernel.transitive_closure(sc)
-    )
-    out.update(
-        SubPropAtom(codec.dec(a), codec.dec(b))
-        for a, b in kernel.transitive_closure(sp)
-    )
+    for kind, edges in ((SubClassAtom, sc), (SubPropAtom, sp)):
+        out.update(kind(dec(a), dec(b))
+                   for a, above in _reach(edges).items() for b in above)
     return frozenset(out)
 
 
@@ -160,12 +244,49 @@ def materialise_abox(store: TripleStore) -> TripleStore:
     )
 
 
-def _closed_pairs(tbox, kind) -> set[tuple[Iri, Iri]]:
-    codec = _Codec()
-    edges = [
-        (codec.enc(ax.sub), codec.enc(ax.sup)) for ax in tbox if isinstance(ax, kind)
-    ]
-    return {(codec.dec(a), codec.dec(b)) for a, b in kernel.transitive_closure(edges)}
+def _group_abox(codec: _Codec, abox: Iterable
+                ) -> tuple[dict[Term, set[int]], dict[tuple[Term, Term], set[int]]]:
+    """Each individual's classes and each (subject, object) pair's properties."""
+    classes_by_inst: dict[Term, set[int]] = {}
+    props_by_pair: dict[tuple[Term, Term], set[int]] = {}
+    for a in abox:
+        if isinstance(a, ClassAtom):
+            classes_by_inst.setdefault(a.inst, set()).add(codec.enc(a.cls))
+        else:
+            props_by_pair.setdefault((a.subj, a.obj), set()).add(codec.enc(a.prop))
+    return classes_by_inst, props_by_pair
+
+
+def _split_equivalents(reach: Edges) -> tuple[Edges, dict[int, int]]:
+    """A closed subsumption relation, split by equivalence.
+
+    Returns, for each node `x` with an edge, the nodes above `x` and not
+    equivalent to it, and, for each node on a cycle, the name of its
+    equivalence class: the smallest id among its members.  Every other node
+    is the only member of its class.
+    """
+    above: Edges = {}
+    names: dict[int, int] = {}
+    for x, ys in reach.items():
+        if x in ys:
+            equiv = {y for y in ys if x in reach.get(y, ())}
+            names[x] = min(equiv)
+            above[x] = ys - equiv
+        else:
+            above[x] = ys
+    return above, names
+
+
+def _survivors(present: set[int], covered: set[int], names: dict[int, int],
+               key) -> Iterable[int]:
+    """The smallest present member, by `key`, of each equivalence class not
+    covered."""
+    best: dict[int, int] = {}
+    for x in present - covered:
+        name = names.get(x, x)
+        other = best.get(name)
+        best[name] = x if other is None else min(x, other, key=key)
+    return best.values()
 
 
 def reduce_store(store: TripleStore) -> TripleStore:
@@ -178,81 +299,61 @@ def reduce_store(store: TripleStore) -> TripleStore:
     TBox is left as-is; derivability is checked against its transitive
     closure so chains count even when the TBox is not closed.
     """
-    sc = _closed_pairs(store.tbox, SubClassAtom)
-    sp = _closed_pairs(store.tbox, SubPropAtom)
+    codec = _Codec()
+    dec = codec.dec
+    sc, sp, dom, rng = _encode_tbox(codec, store.tbox)
 
-    def cls_le(d: Iri, c: Iri) -> bool:
-        return d == c or (d, c) in sc
+    def key(i: int) -> tuple:
+        return term_key(dec(i))
 
-    def prop_le(q: Iri, p: Iri) -> bool:
-        return q == p or (q, p) in sp
+    cls_reach, prop_reach = _reach(sc), _reach(sp)
+    cls_above, cls_names = _split_equivalents(cls_reach)
+    prop_above, prop_names = _split_equivalents(prop_reach)
 
-    dom_by_prop: dict[Iri, set[Iri]] = {}
-    rng_by_prop: dict[Iri, set[Iri]] = {}
-    for ax in store.tbox:
-        if isinstance(ax, DomainAtom):
-            dom_by_prop.setdefault(ax.prop, set()).add(ax.cls)
-        elif isinstance(ax, RangeAtom):
-            rng_by_prop.setdefault(ax.prop, set()).add(ax.cls)
-
-    # Domain/range fire on derived superproperty assertions too, so a role's
-    # effective domain/range classes include those of all its superproperties.
-    sup_props: dict[Iri, set[Iri]] = {}
-    for q, p in sp:
-        sup_props.setdefault(q, set()).add(p)
-
-    def eff_classes(prop: Iri, by_prop: dict[Iri, set[Iri]]) -> set[Iri]:
-        out = set(by_prop.get(prop, ()))
-        for q in sup_props.get(prop, ()):
-            out.update(by_prop.get(q, ()))
+    def implied(by_prop: Edges) -> Edges:
+        # Domain and range fire on derived superproperty assertions too, so
+        # a role implies the domain/range classes of all its
+        # superproperties, and every class above those.
+        out: Edges = {}
+        for p in by_prop.keys() | prop_reach.keys():
+            classes: set[int] = set()
+            for q in prop_reach.get(p, set()) | {p}:
+                for c in by_prop.get(q, ()):
+                    classes.add(c)
+                    classes |= cls_reach.get(c, set())
+            out[p] = classes
         return out
 
-    classes_by_inst: dict[Iri, set[Iri]] = {}
-    props_by_pair: dict[tuple[Iri, Iri], set[Iri]] = {}
-    out_props: dict[Iri, set[Iri]] = {}
-    in_props: dict[Iri, set[Iri]] = {}
-    for a in store.abox:
-        if isinstance(a, ClassAtom):
-            classes_by_inst.setdefault(a.inst, set()).add(a.cls)
-        else:
-            props_by_pair.setdefault((a.subj, a.obj), set()).add(a.prop)
-            out_props.setdefault(a.subj, set()).add(a.prop)
-            in_props.setdefault(a.obj, set()).add(a.prop)
+    dom_implied, rng_implied = implied(dom), implied(rng)
 
-    def equiv_groups(items: set[Iri], le) -> list[set[Iri]]:
-        groups: list[set[Iri]] = []
-        for x in sorted(items, key=term_key):
-            for g in groups:
-                rep = next(iter(g))
-                if le(x, rep) and le(rep, x):
-                    g.add(x)
-                    break
-            else:
-                groups.append({x})
-        return groups
-
-    survivors = set()
-    for inst, present in classes_by_inst.items():
-        for group in equiv_groups(present, cls_le):
-            rep = min(group, key=term_key)
-            derived = any(
-                cls_le(d, rep) for d in present - group
-            ) or any(
-                cls_le(dc, rep)
-                for p in out_props.get(inst, ())
-                for dc in eff_classes(p, dom_by_prop)
-            ) or any(
-                cls_le(rc, rep)
-                for p in in_props.get(inst, ())
-                for rc in eff_classes(p, rng_by_prop)
-            )
-            if not derived:
-                survivors.add(ClassAtom(inst, rep))
+    classes_by_inst, props_by_pair = _group_abox(codec, store.abox)
+    covered_by_roles: dict[Term, set[int]] = {}
     for (s, o), present in props_by_pair.items():
-        for group in equiv_groups(present, prop_le):
-            rep = min(group, key=term_key)
-            if not any(prop_le(q, rep) for q in present - group):
-                survivors.add(RoleAtom(s, rep, o))
+        for p in present:
+            covered_by_roles.setdefault(s, set()).update(dom_implied.get(p, ()))
+            covered_by_roles.setdefault(o, set()).update(rng_implied.get(p, ()))
+
+    # A present class or property is derived from outside its equivalence
+    # class exactly when it lies strictly above another present one, or (for
+    # a class) among the classes the individual's roles imply.  Both sets
+    # are closed upward, so they cover whole equivalence classes.
+    survivors = []
+    for inst, present in classes_by_inst.items():
+        covered = set(covered_by_roles.get(inst, ()))
+        for c in present:
+            covered |= cls_above.get(c, set())
+        survivors.extend(
+            ClassAtom(inst, dec(c))
+            for c in _survivors(present, covered, cls_names, key)
+        )
+    for (s, o), present in props_by_pair.items():
+        covered = set()
+        for p in present:
+            covered |= prop_above.get(p, set())
+        survivors.extend(
+            RoleAtom(s, dec(p), o)
+            for p in _survivors(present, covered, prop_names, key)
+        )
 
     return TripleStore(
         tbox=store.tbox,
@@ -263,8 +364,25 @@ def reduce_store(store: TripleStore) -> TripleStore:
 
 
 def is_materialised(store: TripleStore) -> bool:
-    """Does the ABox already contain everything the assertional rules derive?"""
-    return store.abox == abox_fixpoint(store.tbox, store.abox)
+    """Does the ABox already contain everything the assertional rules derive?
+
+    The ABox is closed exactly when one application of the four rules adds
+    nothing to it: every class or property present has its superclasses or
+    superproperties present, and every role its domain and range classes.
+    """
+    codec = _Codec()
+    sc, sp, dom, rng = _encode_tbox(codec, store.tbox)
+    classes_by_inst, props_by_pair = _group_abox(codec, store.abox)
+    none: frozenset[int] = frozenset()
+    return all(
+        sc.get(c, none) <= present
+        for present in classes_by_inst.values() for c in present
+    ) and all(
+        sp.get(p, none) <= present
+        and dom.get(p, none) <= classes_by_inst.get(s, none)
+        and rng.get(p, none) <= classes_by_inst.get(o, none)
+        for (s, o), present in props_by_pair.items() for p in present
+    )
 
 
 def is_reduced(store: TripleStore) -> bool:

@@ -34,7 +34,13 @@ from rdfsupd.model import (
     Var,
     classify_triple,
 )
-from rdfsupd.turtle import DEFAULT_PREFIXES, make_iri
+from rdfsupd.turtle import (
+    DEFAULT_PREFIXES,
+    Token,
+    expand_pname,
+    make_iri,
+    tokenize,
+)
 
 _UNSUPPORTED_KEYWORDS = {
     "OPTIONAL", "FILTER", "MINUS", "GRAPH", "SERVICE", "BIND", "VALUES",
@@ -60,43 +66,6 @@ _TOKEN_RE = re.compile(
 """,
     re.VERBOSE,
 )
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(tok)
-        elif kind in ("unsupported", "bnode"):
-            raise UnsupportedFeature(
-                f"line {line}, col {col}: literals, blank nodes, and collections "
-                "are outside the supported fragment"
-            )
-        else:
-            tokens.append(_Token(kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
 
 
 @dataclass(frozen=True)
@@ -133,7 +102,7 @@ class UpdateOperation:
 
 class _Parser:
     def __init__(self, text: str, general: bool):
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize(text, _TOKEN_RE)
         self.i = 0
         self.general = general
         self.prefixes = dict(DEFAULT_PREFIXES)
@@ -141,10 +110,10 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Token:
+    def peek(self) -> Token:
         return self.tokens[self.i]
 
-    def next(self) -> _Token:
+    def next(self) -> Token:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
@@ -167,7 +136,7 @@ class _Parser:
         if not (tok.kind == "word" and tok.text.upper() == word):
             self._unexpected(tok, word)
 
-    def _unexpected(self, tok: _Token, wanted: str):
+    def _unexpected(self, tok: Token, wanted: str):
         if tok.kind == "word" and tok.text.upper() in _UNSUPPORTED_KEYWORDS:
             raise UnsupportedFeature(
                 f"line {tok.line}, col {tok.col}: {tok.text.upper()} "
@@ -211,11 +180,7 @@ class _Parser:
         if tok.kind == "iriref":
             return make_iri(tok.text[1:-1], tok)
         if tok.kind == "pname":
-            prefix, _, local = tok.text.partition(":")
-            ns = self.prefixes.get(prefix)
-            if ns is None:
-                raise ParseError(f"undeclared prefix {prefix!r}", tok.line, tok.col)
-            return make_iri(ns + local, tok)
+            return expand_pname(tok, self.prefixes)
         if allow_a and tok.kind == "word" and tok.text == "a":
             return RDF_TYPE
         self._unexpected(tok, what)
@@ -350,7 +315,7 @@ def parse_query(text: str, general: bool = False) -> Query:
     p.parse_prologue()
     p.expect_word("SELECT")
     star = False
-    select_toks: list[tuple[Var, _Token]] = []
+    select_toks: list[tuple[Var, Token]] = []
     if p.at_punct("*"):
         p.next()
         star = True

@@ -44,7 +44,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token:
+class Token:
     __slots__ = ("kind", "text", "line", "col")
 
     def __init__(self, kind, text, line, col):
@@ -54,11 +54,17 @@ class _Token:
         self.col = col
 
 
-def _tokenize(text: str) -> list[_Token]:
+def tokenize(text: str, token_re: re.Pattern) -> list[Token]:
+    """Tokens of `text` by the named groups of `token_re`, ending in `eof`.
+
+    Whitespace and comments are skipped; the `unsupported` and `bnode`
+    groups raise `UnsupportedFeature` naming what was found.  Both parsers
+    share this loop, each with its own token regex.
+    """
     tokens = []
     line, col, pos = 1, 1, 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = token_re.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
@@ -81,10 +87,10 @@ def _tokenize(text: str) -> list[_Token]:
                 f"line {line}, col {col}: {what} is outside the supported fragment"
             )
         else:
-            tokens.append(_Token(kind, tok, line, col))
+            tokens.append(Token(kind, tok, line, col))
             col += len(tok)
         pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line, col))
     return tokens
 
 
@@ -95,21 +101,30 @@ def make_iri(value: str, tok) -> Iri:
     return Iri(value)
 
 
+def expand_pname(tok: Token, prefixes: dict[str, str]) -> Iri:
+    """The IRI a prefixed-name token denotes under `prefixes`."""
+    prefix, _, local = tok.text.partition(":")
+    ns = prefixes.get(prefix)
+    if ns is None:
+        raise ParseError(f"undeclared prefix {prefix!r}", tok.line, tok.col)
+    return make_iri(ns + local, tok)
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize(text, _TOKEN_RE)
         self.i = 0
         self.prefixes = dict(DEFAULT_PREFIXES)
 
-    def peek(self) -> _Token:
+    def peek(self) -> Token:
         return self.tokens[self.i]
 
-    def next(self) -> _Token:
+    def next(self) -> Token:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str) -> Token:
         tok = self.next()
         if tok.kind != kind:
             raise ParseError(
@@ -117,19 +132,12 @@ class _Parser:
             )
         return tok
 
-    def expand_pname(self, tok: _Token) -> Iri:
-        prefix, _, local = tok.text.partition(":")
-        ns = self.prefixes.get(prefix)
-        if ns is None:
-            raise ParseError(f"undeclared prefix {prefix!r}", tok.line, tok.col)
-        return make_iri(ns + local, tok)
-
     def parse_term(self, what: str) -> Iri:
         tok = self.next()
         if tok.kind == "iriref":
             return make_iri(tok.text[1:-1], tok)
         if tok.kind == "pname":
-            return self.expand_pname(tok)
+            return expand_pname(tok, self.prefixes)
         raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
 
     def parse_verb(self) -> Iri:

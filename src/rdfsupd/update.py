@@ -22,7 +22,9 @@ outcut      subsumption deletions cut the edges leaving the subclass
 incut       subsumption deletions cut the edges entering the superclass
 ==========  =============================================================
 
-Stores are snapshots: every function returns a new store.
+Stores are snapshots: every function returns a new store.  `run` checks
+once that the store has the mode the strategy needs (`Semantics.mode`);
+the `apply_*` functions take it as given.
 """
 
 from __future__ import annotations
@@ -60,17 +62,28 @@ from rdfsupd.sparql import UpdateOperation
 
 
 class Semantics(Enum):
-    """Update strategy identifiers, as accepted by the CLI."""
+    """Update strategy identifiers, as accepted by the CLI.
 
-    NAIVE = "naive"
-    MAT0 = "mat0"
-    MAT1A = "mat1a"
-    MAT1B = "mat1b"
-    MAT2 = "mat2"
-    RED0 = "red0"
-    RED1 = "red1"
-    OUTCUT = "outcut"
-    INCUT = "incut"
+    `mode` is the store mode the strategy needs and keeps: materialised for
+    the mat family and the cuts, reduced for the red family, and None for
+    naive, which takes a store of any mode.
+    """
+
+    NAIVE = ("naive", None)
+    MAT0 = ("mat0", StoreMode.MATERIALISED)
+    MAT1A = ("mat1a", StoreMode.MATERIALISED)
+    MAT1B = ("mat1b", StoreMode.MATERIALISED)
+    MAT2 = ("mat2", StoreMode.MATERIALISED)
+    RED0 = ("red0", StoreMode.REDUCED)
+    RED1 = ("red1", StoreMode.REDUCED)
+    OUTCUT = ("outcut", StoreMode.MATERIALISED)
+    INCUT = ("incut", StoreMode.MATERIALISED)
+
+    def __new__(cls, value: str, mode: Optional[StoreMode]):
+        sem = object.__new__(cls)
+        sem._value_ = value
+        sem.mode = mode
+        return sem
 
     @classmethod
     def parse(cls, name: str) -> "Semantics":
@@ -88,11 +101,6 @@ class Semantics(Enum):
             f"unknown semantics {name!r}; expected one of "
             + ", ".join(s.value for s in cls)
         )
-
-
-_MAT_SEMANTICS = {Semantics.MAT0, Semantics.MAT1A, Semantics.MAT1B,
-                  Semantics.MAT2, Semantics.OUTCUT, Semantics.INCUT}
-_RED_SEMANTICS = {Semantics.RED0, Semantics.RED1}
 
 
 def _split_tbox_abox(atoms: frozenset) -> tuple[frozenset, frozenset]:
@@ -224,11 +232,12 @@ def apply_naive(store: TripleStore, op: UpdateOperation) -> TripleStore:
     return _apply_sets(store, inst)
 
 
-def _require_mode(store: TripleStore, mode: StoreMode, hint: str):
+def _require_mode(store: TripleStore, mode: StoreMode):
     if store.mode is not mode:
+        verb = "mat" if mode is StoreMode.MATERIALISED else "red"
         raise ModeError(
             f"this strategy needs a {mode.value} store "
-            f"(got {store.mode.value}; {hint})"
+            f"(got {store.mode.value}; run {verb} first)"
         )
 
 
@@ -245,7 +254,6 @@ def _reject_terminological_templates(op: UpdateOperation, sem: str):
 
 def apply_mat0(store: TripleStore, op: UpdateOperation) -> TripleStore:
     """Naive update on the closed store, then re-materialise."""
-    _require_mode(store, StoreMode.MATERIALISED, "run mat first")
     return materialise(apply_naive(store, op))
 
 
@@ -253,7 +261,6 @@ def apply_mat1a(store: TripleStore, op: UpdateOperation) -> TripleStore:
     """Delete the instantiations together with everything they entail, then
     insert and re-materialise.  Explicitly inserted consequences do not
     survive: the strategy tracks no provenance."""
-    _require_mode(store, StoreMode.MATERIALISED, "run mat first")
     _reject_terminological_templates(op, "mat1a")
     # Deletes are ground over the term universe: an instantiation that is
     # not stored still has consequences to erase.
@@ -272,7 +279,6 @@ def apply_mat1b(store: TripleStore, op: UpdateOperation) -> TripleStore:
     assertions, then re-derive from the surviving facts plus the new
     explicit set).  Equivalent to re-deriving the implicit set from scratch,
     which the property suite verifies."""
-    _require_mode(store, StoreMode.MATERIALISED, "run mat first")
     _reject_terminological_templates(op, "mat1b")
     inst = _evaluate(op, store)
     explicit = (store.abox_explicit - inst.delete_abox) | inst.insert_abox
@@ -293,7 +299,6 @@ def apply_mat2(store: TripleStore, op: UpdateOperation) -> TripleStore:
     together with every assertion that derives it cannot strand a derived
     fact, and insertions carry their full consequence set.
     """
-    _require_mode(store, StoreMode.MATERIALISED, "run mat first")
     _reject_terminological_templates(op, "mat2")
     rewritten = build_mat2_update(op, store.tbox)
     plain = apply_naive(store, rewritten)
@@ -310,7 +315,6 @@ def apply_red0(store: TripleStore, op: UpdateOperation,
     implicit matches are visible on the redundancy-free store); pass
     ``where_regime="simple"`` for explicit-only matching.
     """
-    _require_mode(store, StoreMode.REDUCED, "run red first")
     _reject_terminological_templates(op, "red0")
     inst = _evaluate(op, store, entailed=where_regime != "simple",
                      match_deletes=True)
@@ -320,7 +324,6 @@ def apply_red0(store: TripleStore, op: UpdateOperation,
 def apply_red1(store: TripleStore, op: UpdateOperation) -> TripleStore:
     """Causes-deleting reduced strategy: delete template rewritten to all
     causes (insert template untouched), applied naively, then re-reduce."""
-    _require_mode(store, StoreMode.REDUCED, "run red first")
     _reject_terminological_templates(op, "red1")
     rewritten = build_red1_update(op, store.tbox)
     return reduce_store(apply_naive(store, rewritten))
@@ -334,7 +337,6 @@ def apply_tbox_cut(store: TripleStore, op: UpdateOperation,
     the cut then removes, per deleted `A sc B` triple, a minimal edge cut
     disconnecting A from B.  Assertional updates degenerate to mat0.
     """
-    _require_mode(store, StoreMode.MATERIALISED, "run mat first")
     rewritten = build_cut_update(op, direction)
     return materialise(apply_naive(store, rewritten))
 
@@ -342,7 +344,7 @@ def apply_tbox_cut(store: TripleStore, op: UpdateOperation,
 def bootstrap_partition(store: TripleStore) -> TripleStore:
     """Canonical explicit/implicit split for a store without update history:
     the reduced core becomes explicit, everything else implicit."""
-    _require_mode(store, StoreMode.MATERIALISED, "run mat first")
+    _require_mode(store, StoreMode.MATERIALISED)
     core = reduce_store(store).abox
     return TripleStore(
         tbox=store.tbox,
@@ -360,10 +362,8 @@ def run(store: TripleStore, op: UpdateOperation, semantics: Semantics,
     materialised for mat*/cuts, reduced for red*); the input snapshot is
     never modified.
     """
-    if semantics in _MAT_SEMANTICS:
-        _require_mode(store, StoreMode.MATERIALISED, "run mat first")
-    elif semantics in _RED_SEMANTICS:
-        _require_mode(store, StoreMode.REDUCED, "run red first")
+    if semantics.mode is not None:
+        _require_mode(store, semantics.mode)
     if semantics is Semantics.NAIVE:
         return apply_naive(store, op)
     if semantics is Semantics.MAT0:

@@ -1,10 +1,13 @@
 import random
+import time
 
 from conftest import ex
 from rdfsupd.entailment import (
     ABOX_RULES,
     TBOX_RULES,
     RuleId,
+    _abox_closure,
+    _reach,
     abox_fixpoint,
     is_materialised,
     is_reduced,
@@ -14,16 +17,20 @@ from rdfsupd.entailment import (
     tbox_closure,
 )
 from rdfsupd.model import (
+    EXAMPLE_NS,
     ClassAtom,
     DomainAtom,
+    Iri,
     RangeAtom,
     RoleAtom,
     StoreMode,
     SubClassAtom,
     SubPropAtom,
     TripleStore,
+    atom_sort_key,
+    term_key,
 )
-from rdfsupd.oracle import GenConfig, gen_store
+from rdfsupd.oracle import GenConfig, gen_store, oracle_mat
 
 
 def _chain_store():
@@ -38,6 +45,23 @@ def test_rule_partition():
     }
     assert TBOX_RULES == {RuleId.SP_TRANS, RuleId.SC_TRANS}
     assert ABOX_RULES | TBOX_RULES == set(RuleId)
+
+
+class TestKernel:
+    def test_abox_closure_basics(self):
+        classes, roles = _abox_closure(
+            sc={1: {2}}, sp={}, dom={3: {4}}, rng={}, classes={(0, 1)},
+            roles={(0, 3, 5)},
+        )
+        assert classes == {(0, 1), (0, 2), (0, 4)}
+        assert roles == {(0, 3, 5)}
+
+    def test_reach_cycle(self):
+        reach = _reach({1: {2}, 2: {3}, 3: {1}})
+        assert reach == {a: {1, 2, 3} for a in (1, 2, 3)}
+
+    def test_reach_acyclic_has_no_self_pairs(self):
+        assert _reach({1: {2, 3}, 2: {3}}) == {1: {2, 3}, 2: {3}}
 
 
 class TestMaterialise:
@@ -146,6 +170,19 @@ class TestReduce:
         abox = frozenset({ClassAtom(ex("x"), ex("A")), ClassAtom(ex("x"), ex("C"))})
         red = reduce_store(TripleStore(tbox, abox, frozenset()))
         assert red.abox == frozenset({ClassAtom(ex("x"), ex("A"))})
+
+    def test_cycle_keeps_smallest_present_member(self):
+        # A is the smallest member of the cycle but absent, so B survives.
+        tbox = frozenset(
+            {
+                SubClassAtom(ex("A"), ex("B")),
+                SubClassAtom(ex("B"), ex("C")),
+                SubClassAtom(ex("C"), ex("A")),
+            }
+        )
+        abox = frozenset({ClassAtom(ex("x"), ex("C")), ClassAtom(ex("x"), ex("B"))})
+        red = reduce_store(TripleStore(tbox, abox, frozenset()))
+        assert red.abox == frozenset({ClassAtom(ex("x"), ex("B"))})
 
     def test_role_cycle(self):
         tbox = frozenset(
@@ -256,3 +293,72 @@ class TestClosureProperties:
             random.Random(seed).shuffle(atoms)
             shuffled = TripleStore(store.tbox, frozenset(atoms), frozenset())
             assert reduce_store(shuffled) == reduce_store(store)
+
+
+def _medium_store(seed: int) -> TripleStore:
+    """50 classes, 8 properties, 120 individuals, 2,000 assertions.
+
+    Subsumptions form a shallow forest (so the brute-force oracle stays
+    fast) in which three reversed edges close cycles.
+    """
+    rng = random.Random(seed)
+
+    def names(prefix, n):
+        return [Iri(f"{EXAMPLE_NS}{prefix}{k}") for k in range(n)]
+
+    classes, props, inds = names("C", 50), names("p", 8), names("i", 120)
+    tbox = {SubClassAtom(c, rng.choice(classes[:max(10, k // 2)]))
+            for k, c in enumerate(classes) if k >= 10}
+    tbox |= {SubPropAtom(p, rng.choice(props[:k]))
+             for k, p in enumerate(props) if k >= 2}
+    for _ in range(3):
+        ax = rng.choice(sorted(tbox, key=atom_sort_key))
+        tbox.add(type(ax)(ax.sup, ax.sub))
+    for p in props:
+        tbox.add(DomainAtom(p, rng.choice(classes)))
+        tbox.add(RangeAtom(p, rng.choice(classes)))
+    abox = set()
+    while len(abox) < 2000:
+        if rng.random() < 0.5:
+            abox.add(ClassAtom(rng.choice(inds), rng.choice(classes)))
+        else:
+            abox.add(RoleAtom(rng.choice(inds), rng.choice(props), rng.choice(inds)))
+    return TripleStore(frozenset(tbox), frozenset(abox), frozenset())
+
+
+def test_medium_sweep_against_oracle():
+    start = time.perf_counter()
+    for seed in range(3):
+        store = _medium_store(seed)
+        oracle = oracle_mat(store)
+        closure = oracle.abox
+
+        mat = materialise(store)
+        assert mat.abox == closure, seed
+        assert mat.tbox == oracle.tbox, seed
+
+        assert is_materialised(store) == (store.abox == closure), seed
+        # mat.abox is the oracle's closure, so the oracle adds nothing to it.
+        assert is_materialised(mat), seed
+        rng = random.Random(seed)
+        derived = rng.choice(sorted(mat.abox_implicit, key=atom_sort_key))
+        holed = TripleStore(mat.tbox, mat.abox - {derived}, frozenset())
+        assert not is_materialised(holed), seed
+        assert oracle_mat(holed).abox != holed.abox, seed
+
+        red = reduce_store(mat)
+        assert oracle_mat(red).abox == closure, seed
+        assert is_reduced(red), seed
+        # mat holds every member of a cycle, so each survivor is the
+        # smallest member of its equivalence class.
+        for f in red.abox:
+            kind, name = (SubClassAtom, f.cls) if isinstance(f, ClassAtom) \
+                else (SubPropAtom, f.prop)
+            equivalents = {ax.sup for ax in oracle.tbox if isinstance(ax, kind)
+                           and ax.sub == name and kind(ax.sup, name) in oracle.tbox}
+            assert all(term_key(name) <= term_key(e) for e in equivalents), (seed, f)
+        survivors = sorted(red.abox, key=atom_sort_key)
+        for f in rng.sample(survivors, 10):
+            assert f not in abox_fixpoint(store.tbox, red.abox - {f}), (seed, f)
+    # Loose regression bound: the oracle runs take about 8 s in all.
+    assert time.perf_counter() - start < 60
