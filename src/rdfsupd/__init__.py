@@ -27,6 +27,7 @@ from rdfsupd.errors import (
     ParseError,
     RdfsUpdError,
     SizeLimit,
+    UnknownSemantics,
     UnsupportedFeature,
     VarInPredicate,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "TriplePattern",
     "TripleStore",
     "UnionPattern",
+    "UnknownSemantics",
     "UnsupportedFeature",
     "UpdateOperation",
     "Var",

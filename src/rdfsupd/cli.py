@@ -15,14 +15,17 @@ One verb per engine operation:
 Input files are the Turtle subset, merged in argument order.  Output is
 deterministic: identical inputs produce byte-identical output.
 
-Exit codes: 0 success, 2 syntax/vocabulary error, 3 unsupported feature,
-4 store mode incompatible with the requested strategy.
+Exit codes: 0 success, 1 unreadable or unwritable file, 2 syntax/vocabulary
+error or unknown strategy name, 3 unsupported feature, 4 store mode
+incompatible with the requested strategy, 70 internal error (any other
+exception: a bug in the engine, not in the input; its traceback is printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from typing import Optional
 
 from rdfsupd import update as upd
@@ -31,6 +34,7 @@ from rdfsupd.errors import (
     ModeError,
     NonStandardUse,
     ParseError,
+    UnknownSemantics,
     UnsupportedFeature,
     VarInPredicate,
 )
@@ -42,12 +46,6 @@ from rdfsupd.query import (
 )
 from rdfsupd.sparql import parse_query, parse_update
 from rdfsupd.turtle import _render_triple, parse_turtle, serialize_turtle
-
-_MODE_BY_NAME = {
-    "plain": StoreMode.PLAIN,
-    "materialised": StoreMode.MATERIALISED,
-    "reduced": StoreMode.REDUCED,
-}
 
 
 def _load(paths: list[str]) -> TripleStore:
@@ -93,7 +91,7 @@ def _render_row(row, shorten) -> tuple[str, ...]:
 def cmd_query(args) -> int:
     from rdfsupd.turtle import shorten_iri
 
-    store = _normalise(_load(args.files), _MODE_BY_NAME[args.mode])
+    store = _normalise(_load(args.files), StoreMode(args.mode))
     query = parse_query(args.query, general=args.general)
     if args.regime == "simple":
         answers = eval_simple(query.where, store, query.select_vars)
@@ -110,7 +108,7 @@ def cmd_query(args) -> int:
 def cmd_update(args) -> int:
     semantics = upd.Semantics.parse(args.semantics)
     required = semantics.mode
-    mode = _MODE_BY_NAME[args.mode] if args.mode else (required or StoreMode.PLAIN)
+    mode = StoreMode(args.mode) if args.mode else (required or StoreMode.PLAIN)
     if required is not None and mode is not required:
         raise ModeError(
             f"--semantics {semantics.value} needs --mode {required.value}, "
@@ -153,6 +151,9 @@ def cmd_diff(args) -> int:
     return 0
 
 
+_MODE_NAMES = sorted(m.value for m in StoreMode)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdfsupd",
@@ -168,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="simple pattern matching or entailed answers")
     q.add_argument("--via", choices=["rewrite", "mat"], default="rewrite",
                    help="strategy for entailed answers")
-    q.add_argument("--mode", choices=sorted(_MODE_BY_NAME), default="plain",
+    q.add_argument("--mode", choices=_MODE_NAMES, default="plain",
                    help="normalise the loaded store first")
     q.add_argument("--general", action="store_true",
                    help="allow terminological patterns, variables anywhere, "
@@ -180,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     u.add_argument("files", nargs="+")
     u.add_argument("--semantics", required=True,
                    help="one of: " + ", ".join(s.value for s in upd.Semantics))
-    u.add_argument("--mode", choices=sorted(_MODE_BY_NAME), default=None,
+    u.add_argument("--mode", choices=_MODE_NAMES, default=None,
                    help="normalisation of the loaded store "
                    "(default: what the strategy needs)")
     u.add_argument("--where-regime", choices=["simple", "rdfs"], default=None,
@@ -217,7 +218,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NonStandardUse) as exc:
+    except (ParseError, NonStandardUse, UnknownSemantics, UnicodeDecodeError) as exc:
         print(f"rdfsupd: {exc}", file=sys.stderr)
         return 2
     except (UnsupportedFeature, VarInPredicate) as exc:
@@ -226,12 +227,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ModeError as exc:
         print(f"rdfsupd: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"rdfsupd: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"rdfsupd: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"rdfsupd: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":

@@ -32,6 +32,10 @@ class ParseError(RdfsUpdError):
         self.col = col
 
 
+class UnknownSemantics(RdfsUpdError, ValueError):
+    """Update strategy name that names none of the strategies."""
+
+
 class ModeError(RdfsUpdError):
     """Store mode incompatible with the requested operation."""
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Union
 
 from rdfsupd.errors import NonStandardUse, VarInPredicate
@@ -475,29 +476,29 @@ class TripleStore:
         for ax in self.tbox:
             if not isinstance(ax, TBOX_KINDS) or not is_ground(ax):
                 raise ValueError(f"not a ground terminological axiom: {ax!r}")
-        for a in self.abox_explicit | self.abox_implicit:
+        for a in self.abox:
             if not isinstance(a, ABOX_KINDS) or not is_ground(a):
                 raise ValueError(f"not a ground assertion: {a!r}")
 
-    @property
+    @cached_property
     def abox(self) -> frozenset:
+        """The merged ABox, built once per snapshot."""
+        if not self.abox_implicit:
+            return self.abox_explicit
         return self.abox_explicit | self.abox_implicit
 
     @cached_property
     def terms(self) -> frozenset[Iri]:
         """All IRIs occurring in argument positions (the term universe)."""
         out = set()
-        for atom in self.tbox | self.abox_explicit | self.abox_implicit:
+        for atom in chain(self.tbox, self.abox):
             out.update(t for t in atom_terms(atom) if isinstance(t, Iri))
         return frozenset(out)
 
     @cached_property
     def triples(self) -> frozenset[tuple[Iri, Iri, Iri]]:
         """Triple view of everything stored, for raw pattern matching."""
-        return frozenset(
-            atom_to_triple(a)
-            for a in self.tbox | self.abox_explicit | self.abox_implicit
-        )
+        return frozenset(atom_to_triple(a) for a in chain(self.tbox, self.abox))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TripleStore):

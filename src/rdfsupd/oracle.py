@@ -1,8 +1,9 @@
 """Brute-force reference implementations and instance generators.
 
 Everything here exists for the test suite: a naive repeat-until-stable
-closure, a subset-search reduction, exhaustive minimal-cut enumeration, and
-seeded random store/update/query generators.  The reference implementations
+closure, a subset-search reduction, exhaustive minimal-cut enumeration, a
+backtracking pattern matcher, and seeded random store/update/query
+generators.  The reference implementations
 deliberately share no code with the engine they check — full cross products
 instead of delta iteration, subset search instead of marking — and trade
 speed for obviousness, with hard size limits instead of silent slowness.
@@ -17,10 +18,15 @@ from itertools import combinations
 from rdfsupd.errors import SizeLimit
 from rdfsupd.model import (
     EXAMPLE_NS,
+    RDFS_SUBCLASSOF,
+    RDFS_SUBPROPERTYOF,
+    RESERVED_PREDICATES,
+    AnyTermAtom,
     Bgp,
     ClassAtom,
     DomainAtom,
     Iri,
+    PathAtom,
     RangeAtom,
     RoleAtom,
     StoreMode,
@@ -30,6 +36,7 @@ from rdfsupd.model import (
     UnionPattern,
     Var,
     atom_sort_key,
+    atom_to_triple,
 )
 from rdfsupd.sparql import UpdateOperation
 
@@ -91,6 +98,51 @@ def oracle_mat(store: TripleStore) -> TripleStore:
         abox_implicit=abox - store.abox_explicit,
         mode=StoreMode.MATERIALISED,
     )
+
+
+def oracle_eval(bgp: Bgp, store: TripleStore, vars: tuple) -> frozenset:
+    """Reference simple-entailment answers: the rows over `vars` of every
+    assignment under which each atom of `bgp` is a stored triple.
+
+    Backtracks over the whole triple view, atom by atom.  Paths read the
+    oracle's own TBox closure plus a zero-length step for every term, and
+    binders range over the terms: every IRI of the triple view except the
+    reserved predicates.
+    """
+    triples = {atom_to_triple(a) for a in store.tbox | store.abox}
+    roles = {t for t in triples if t[1] not in RESERVED_PREDICATES}
+    terms = {x for s, p, o in triples for x in (s, o)} | {t[1] for t in roles}
+    paths = {(t, pred, t) for t in terms
+             for pred in (RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF)}
+    for ax in _oracle_tbox_closure(store.tbox):
+        if isinstance(ax, SubClassAtom):
+            paths.add((ax.sub, RDFS_SUBCLASSOF, ax.sup))
+        elif isinstance(ax, SubPropAtom):
+            paths.add((ax.sub, RDFS_SUBPROPERTYOF, ax.sup))
+
+    def facts(atom):
+        if isinstance(atom, PathAtom):
+            return (atom.subj, atom.pred, atom.obj), paths
+        if isinstance(atom, AnyTermAtom):
+            return (atom.term,), {(t,) for t in terms}
+        return atom_to_triple(atom), roles if isinstance(atom, RoleAtom) else triples
+
+    steps = [facts(a) for a in bgp.sorted_atoms()]
+    rows = set()
+
+    def search(k: int, binding: dict) -> None:
+        if k == len(steps):
+            rows.add(tuple(binding[v] for v in vars))
+            return
+        pattern, candidates = steps[k]
+        for fact in candidates:
+            ext = dict(binding)
+            if all(ext.setdefault(p, f) == f if isinstance(p, Var) else p == f
+                   for p, f in zip(pattern, fact)):
+                search(k + 1, ext)
+
+    search(0, {})
+    return frozenset(rows)
 
 
 ORACLE_RED_MAX_ABOX = 12

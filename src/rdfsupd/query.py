@@ -11,11 +11,16 @@ Answers are sets of total substitutions (set semantics, unlike SPARQL's
 bags).  When an explicit variable tuple is requested, a union disjunct that
 does not bind all requested variables contributes no rows.
 
-Evaluation is index-driven.  Each store snapshot caches one `_Index`,
-whose hash maps by bound position (class to instances, instance to
-classes, (property, subject) to objects, (property, object) to subjects)
-are built on first use; the index holds its store weakly, so the two form
-no reference cycle.  Atoms are joined depth-first, choosing under each
+Evaluation is index-driven.  Every pattern atom is a tuple of terms over
+one relation of the snapshot, one per atom kind: class memberships, role
+assertions, each of the four axiom kinds, the triple view, subsumption
+paths (the pairs of the closed TBox from `tbox_closure`, plus a zero-length
+step for every stored term) and the term universe.  Each snapshot caches
+one `_Index` holding each relation's rows and one hash map per relation and
+set of free positions, keyed by the values at the bound ones; rows and maps
+are built on first use, and the index holds its store weakly, so the two
+form no reference cycle.  One lookup answers every atom, and its size is
+the atom's estimate.  Atoms are joined depth-first, choosing under each
 binding the atom with the fewest unbound variables, then the fewest index
 candidates, then the canonically first.  Rewriting is answered as a join of
 per-atom unions: each atom is unfolded on its own and matched as the union
@@ -26,21 +31,22 @@ of its unfoldings, which gives the answers of the full union from
 
 from __future__ import annotations
 
-import math
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional, Union
 
 from rdfsupd.entailment import materialise, tbox_closure
 from rdfsupd.model import (
     RDFS_SUBCLASSOF,
+    RDFS_SUBPROPERTYOF,
+    TBOX_KINDS,
     AnyTermAtom,
     Atom,
     Bgp,
     ClassAtom,
     DomainAtom,
-    Iri,
     PathAtom,
     RangeAtom,
     RoleAtom,
@@ -52,7 +58,6 @@ from rdfsupd.model import (
     TripleStore,
     UnionPattern,
     Var,
-    atom_terms,
     atom_vars,
     term_key,
 )
@@ -70,10 +75,6 @@ class AnswerSet:
     def substitutions(self) -> list[dict]:
         return [dict(zip(self.vars, row)) for row in sorted(self.rows)]
 
-    def column(self, var: Var) -> frozenset:
-        i = self.vars.index(var)
-        return frozenset(row[i] for row in self.rows)
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -82,106 +83,106 @@ class AnswerSet:
 
 
 class _Index:
-    """Hash maps over one store snapshot, each built on first use.
+    """The relations of one store snapshot and hash maps over them.
 
-    Cached on the snapshot by `_index` and holding it only through a weak
-    reference, so the index lives exactly as long as its store and forms
-    no reference cycle with it.  An operation that matches nothing (an
-    `INSERT DATA`, whose WHERE clause is empty) builds no map.
+    Each relation's rows, and each map from the values at some bound
+    positions to the values at the free ones, are built on first use.  An
+    operation that matches nothing (an `INSERT DATA`, whose WHERE clause is
+    empty) builds none.  Cached on the snapshot by `_index` and holding it
+    only through a weak reference, so the index lives exactly as long as its
+    store and forms no reference cycle with it.
     """
 
     def __init__(self, store: TripleStore):
         self._store = weakref.ref(store)
-        self._reach: dict[tuple[Iri, bool], dict[Iri, set[Iri]]] = {}
+        self._rows: dict[type, list[tuple]] = {}
+        self._maps: dict[tuple[type, tuple[int, ...]], dict] = {}
 
     @property
     def store(self) -> TripleStore:
         return self._store()
 
-    @property
-    def universe(self) -> frozenset[Iri]:
-        return self.store.terms
-
-    @property
-    def triples(self) -> frozenset:
-        return self.store.triples
-
-    @cached_property
-    def class_pairs(self) -> list[tuple[Iri, Iri]]:
-        return [(a.inst, a.cls) for a in self.store.abox if isinstance(a, ClassAtom)]
-
-    @cached_property
-    def role_triples(self) -> list[tuple[Iri, Iri, Iri]]:
-        return [(a.subj, a.prop, a.obj) for a in self.store.abox
-                if isinstance(a, RoleAtom)]
-
-    @cached_property
-    def instances(self) -> dict[Iri, set[Iri]]:
-        """Class to the instances asserted for it."""
-        return _group((c, i) for i, c in self.class_pairs)
-
-    @cached_property
-    def classes_of(self) -> dict[Iri, set[Iri]]:
-        """Instance to the classes asserted for it."""
-        return _group(self.class_pairs)
-
-    @cached_property
-    def roles_by_pred(self) -> dict[Iri, list[tuple[Iri, Iri]]]:
-        out: dict[Iri, list[tuple[Iri, Iri]]] = {}
-        for s, p, o in self.role_triples:
-            out.setdefault(p, []).append((s, o))
-        return out
-
-    @cached_property
-    def objects(self) -> dict[tuple[Iri, Iri], set[Iri]]:
-        """(property, subject) to objects."""
-        return _group(((p, s), o) for s, p, o in self.role_triples)
-
-    @cached_property
-    def subjects(self) -> dict[tuple[Iri, Iri], set[Iri]]:
-        """(property, object) to subjects."""
-        return _group(((p, o), s) for s, p, o in self.role_triples)
-
-    @cached_property
-    def tbox_pairs(self) -> dict[type, list[tuple[Iri, Iri]]]:
-        out: dict[type, list[tuple[Iri, Iri]]] = {
-            SubClassAtom: [], SubPropAtom: [], DomainAtom: [], RangeAtom: []
-        }
-        for ax in self.store.tbox:
-            out[type(ax)].append(atom_terms(ax))  # type: ignore[arg-type]
-        return out
-
-    def _edges(self, pred: Iri, forward: bool) -> dict[Iri, set[Iri]]:
-        key = (pred, forward)
-        adj = self._reach.get(key)
-        if adj is None:
-            kind = SubClassAtom if pred == RDFS_SUBCLASSOF else SubPropAtom
-            adj = {}
-            for a, b in self.tbox_pairs[kind]:
-                src, dst = (a, b) if forward else (b, a)
-                adj.setdefault(src, set()).add(dst)
-            self._reach[key] = adj
-        return adj
-
-    def reachable(self, start: Iri, pred: Iri, forward: bool = True) -> set[Iri]:
-        """Nodes reachable from `start` via one or more `pred` edges."""
-        adj = self._edges(pred, forward)
-        seen: set[Iri] = set()
-        stack = list(adj.get(start, ()))
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(adj.get(n, ()))
-        return seen
+    def map(self, rel: type, shape: tuple) -> dict:
+        """The rows of `rel` keyed by their values at the positions that
+        `shape` binds: the values at its one probed position as a set, or
+        at several as a list of tuples."""
+        _, probe, key, val = shape
+        m = self._maps.get((rel, probe))
+        if m is None:
+            rows = self._rows.get(rel)
+            if rows is None:
+                rows = self._rows[rel] = _ROWS[rel](self.store)
+            if len(probe) == 1:
+                m = defaultdict(set)
+                for row in rows:
+                    m[key(row)].add(val(row))
+            elif key is _no_key:
+                m = {(): rows}
+            else:
+                m = defaultdict(list)
+                for row in rows:
+                    m[key(row)].append(val(row))
+            self._maps[(rel, probe)] = m
+        return m
 
 
-def _group(pairs) -> dict:
-    out: dict = {}
-    for k, v in pairs:
-        out.setdefault(k, set()).add(v)
-    return out
+def _shape(arity: int, mask: int) -> tuple:
+    """How a lookup whose free positions are the bits of `mask` reads a
+    relation of `arity` columns: those positions, the positions of the map
+    it probes (the last column when none is free, so that a fully bound
+    atom tests its last term), a getter of the key from the other positions
+    (one value, a tuple of several, or `()` for none), and a getter of the
+    probed positions."""
+    free = tuple(i for i in range(arity) if mask >> i & 1)
+    probe = free or (arity - 1,)
+    bound = [i for i in range(arity) if i not in probe]
+    return free, probe, itemgetter(*bound) if bound else _no_key, itemgetter(*probe)
+
+
+def _no_key(row: tuple) -> tuple:
+    return ()
+
+
+#: The shape of every lookup, by arity and mask of free positions.
+_SHAPES = {n: [_shape(n, mask) for mask in range(1 << n)] for n in (1, 2, 3)}
+
+
+#: Each atom kind's terms in its relation's column order.  A fully bound
+#: atom probes the map whose last column is free, so the orders make that
+#: the map the common lookups build anyway: class atoms are `(cls, inst)`,
+#: everything else follows `atom_terms`.
+_COLUMNS = {kind: attrgetter(*names) for kind, names in (
+    (ClassAtom, ("cls", "inst")), (RoleAtom, ("subj", "prop", "obj")),
+    (SubClassAtom, ("sub", "sup")), (SubPropAtom, ("sub", "sup")),
+    (DomainAtom, ("prop", "cls")), (RangeAtom, ("prop", "cls")),
+    (TriplePattern, ("subj", "pred", "obj")), (PathAtom, ("subj", "pred", "obj")))}
+_COLUMNS[AnyTermAtom] = lambda atom: (atom.term,)
+
+
+def _path_rows(store: TripleStore) -> list[tuple]:
+    """`(a, pred, b)` for every subsumption pair of the closed TBox, plus
+    the zero-length step from each stored term to itself."""
+    preds = {SubClassAtom: RDFS_SUBCLASSOF, SubPropAtom: RDFS_SUBPROPERTYOF}
+    rows = {(ax.sub, preds[type(ax)], ax.sup)
+            for ax in tbox_closure(store.tbox) if type(ax) in preds}
+    rows.update((t, p, t) for t in store.terms for p in preds.values())
+    return list(rows)
+
+
+def _stored(kind: type, part: str):
+    cols = _COLUMNS[kind]
+    return lambda store: [cols(a) for a in getattr(store, part) if type(a) is kind]
+
+
+#: Each relation's rows, one per atom kind, in `_COLUMNS` order.
+_ROWS = {kind: _stored(kind, "tbox") for kind in TBOX_KINDS}
+_ROWS.update({
+    ClassAtom: _stored(ClassAtom, "abox"),
+    RoleAtom: _stored(RoleAtom, "abox"),
+    TriplePattern: lambda store: list(store.triples),
+    PathAtom: _path_rows,
+    AnyTermAtom: lambda store: [(t,) for t in store.terms],
+})
 
 
 def _index(store: TripleStore) -> _Index:
@@ -196,150 +197,55 @@ def _index(store: TripleStore) -> _Index:
     return idx
 
 
-def _unify(pattern: tuple, fact: tuple, subst: dict) -> Optional[dict]:
-    out = subst
-    for pt, ft in zip(pattern, fact):
-        if isinstance(pt, Var):
-            bound = out.get(pt)
-            if bound is None:
-                if out is subst:
-                    out = dict(subst)
-                out[pt] = ft
-            elif bound != ft:
-                return None
-        elif pt != ft:
-            return None
-    return out
+def _lookup(atom: Atom, subst: dict, idx: _Index) -> tuple:
+    """One lookup answers every atom kind: the atom's terms in column order,
+    the shape of the positions `subst` leaves free, and the values they take
+    in the stored rows that agree with it.  For a fully bound atom the
+    values are one empty tuple if it is stored, and none otherwise."""
+    terms = _COLUMNS[type(atom)](atom)
+    vals = list(terms)
+    mask = 0
+    for i, t in enumerate(terms):
+        if type(t) is Var:
+            v = subst.get(t)
+            if v is None:
+                mask |= 1 << i
+            else:
+                vals[i] = v
+    shape = _SHAPES[len(terms)][mask]
+    m = idx._maps.get((type(atom), shape[1]))
+    if m is None:
+        m = idx.map(type(atom), shape)
+    values = m.get(shape[2](vals), ())
+    if not mask:
+        values = ((),) if shape[3](vals) in values else ()
+    return terms, shape, values
 
 
-def _value(term, subst: dict):
-    """The term under `subst`: its binding if it is a bound variable."""
-    return subst.get(term, term) if isinstance(term, Var) else term
-
-
-def _extend(subst: dict, var: Var, values) -> Iterator[dict]:
-    for t in values:
-        ext = dict(subst)
-        ext[var] = t
-        yield ext
-
-
-def _match_atom(atom: Atom, subst: dict, idx: _Index) -> Iterator[dict]:
-    if isinstance(atom, ClassAtom):
-        inst, cls = _value(atom.inst, subst), _value(atom.cls, subst)
-        if isinstance(cls, Iri):
-            members = idx.instances.get(cls, ())
-            if isinstance(inst, Iri):
-                if inst in members:
-                    yield subst
-                return
-            yield from _extend(subst, inst, members)
-            return
-        if isinstance(inst, Iri):
-            yield from _extend(subst, cls, idx.classes_of.get(inst, ()))
-            return
-        for fact in idx.class_pairs:
-            ext = _unify((inst, cls), fact, subst)
-            if ext is not None:
+def _matches(subst: dict, found: tuple) -> Iterator[dict]:
+    """Extensions of `subst` by the values of one `_lookup`."""
+    terms, (free, _, _, names_of), values = found
+    if not free:
+        if values:
+            yield subst
+        return
+    names = names_of(terms)
+    if len(free) == 1:
+        for v in values:
+            ext = dict(subst)
+            ext[names] = v
+            yield ext
+    elif len(set(names)) < len(names):
+        for row in values:
+            ext = dict(subst)
+            # A repeated variable must take one value at every position.
+            if all(ext.setdefault(var, v) == v for var, v in zip(names, row)):
                 yield ext
-        return
-    if isinstance(atom, RoleAtom):
-        prop = _value(atom.prop, subst)
-        if isinstance(prop, Var):
-            for fact in idx.role_triples:
-                ext = _unify((atom.subj, prop, atom.obj), fact, subst)
-                if ext is not None:
-                    yield ext
-            return
-        subj, obj = _value(atom.subj, subst), _value(atom.obj, subst)
-        if isinstance(subj, Iri):
-            objs = idx.objects.get((prop, subj), ())
-            if isinstance(obj, Iri):
-                if obj in objs:
-                    yield subst
-                return
-            yield from _extend(subst, obj, objs)
-            return
-        if isinstance(obj, Iri):
-            yield from _extend(subst, subj, idx.subjects.get((prop, obj), ()))
-            return
-        for fact in idx.roles_by_pred.get(prop, ()):
-            ext = _unify((subj, obj), fact, subst)
-            if ext is not None:
-                yield ext
-        return
-    if isinstance(atom, TriplePattern):
-        for fact in idx.triples:
-            ext = _unify((atom.subj, atom.pred, atom.obj), fact, subst)
-            if ext is not None:
-                yield ext
-        return
-    if isinstance(atom, (SubClassAtom, SubPropAtom, DomainAtom, RangeAtom)):
-        for fact in idx.tbox_pairs[type(atom)]:
-            ext = _unify(atom_terms(atom), fact, subst)
-            if ext is not None:
-                yield ext
-        return
-    if isinstance(atom, PathAtom):
-        subj, obj = _value(atom.subj, subst), _value(atom.obj, subst)
-        # Zero-length steps only reach terms that occur somewhere in the store.
-        if isinstance(subj, Iri):
-            targets = idx.reachable(subj, atom.pred)
-            if subj in idx.universe:
-                targets = targets | {subj}
-            if isinstance(obj, Iri):
-                if obj in targets:
-                    yield subst
-                return
-            yield from _extend(subst, obj, targets)
-            return
-        if isinstance(obj, Iri):
-            sources = idx.reachable(obj, atom.pred, forward=False)
-            if obj in idx.universe:
-                sources = sources | {obj}
-            yield from _extend(subst, subj, sources)
-            return
-        for u in idx.universe:
-            for v in idx.reachable(u, atom.pred) | {u}:
-                ext = _unify((subj, obj), (u, v), subst)
-                if ext is not None:
-                    yield ext
-        return
-    if isinstance(atom, AnyTermAtom):
-        term = _value(atom.term, subst)
-        if isinstance(term, Iri):
-            if term in idx.universe:
-                yield subst
-            return
-        yield from _extend(subst, term, idx.universe)
-        return
-    raise TypeError(f"cannot evaluate atom {atom!r}")
-
-
-def _estimate(atom: Atom, subst: dict, idx: _Index) -> float:
-    """Upper bound on the matches of `atom` under `subst`, read off the
-    index; atoms answered by scans count as unbounded."""
-    if isinstance(atom, ClassAtom):
-        inst, cls = _value(atom.inst, subst), _value(atom.cls, subst)
-        if isinstance(cls, Iri):
-            return len(idx.instances.get(cls, ()))
-        if isinstance(inst, Iri):
-            return len(idx.classes_of.get(inst, ()))
-        return len(idx.class_pairs)
-    if isinstance(atom, RoleAtom):
-        prop = _value(atom.prop, subst)
-        if isinstance(prop, Var):
-            return len(idx.role_triples)
-        subj = _value(atom.subj, subst)
-        if isinstance(subj, Iri):
-            return len(idx.objects.get((prop, subj), ()))
-        obj = _value(atom.obj, subst)
-        if isinstance(obj, Iri):
-            return len(idx.subjects.get((prop, obj), ()))
-        return len(idx.roles_by_pred.get(prop, ()))
-    if isinstance(atom, (SubClassAtom, SubPropAtom, DomainAtom, RangeAtom)):
-        return len(idx.tbox_pairs[type(atom)])
-    return math.inf
+    else:
+        for row in values:
+            ext = dict(subst)
+            ext.update(zip(names, row))
+            yield ext
 
 
 @dataclass(frozen=True)
@@ -353,26 +259,33 @@ class _Conjunct:
 
     vars: tuple[Var, ...]
     alts: tuple[Atom, ...]
+    idx: _Index
 
     @classmethod
-    def of(cls, atom: Atom, alts: tuple[Atom, ...] = ()) -> "_Conjunct":
+    def of(cls, atom: Atom, idx: _Index,
+           alts: tuple[Atom, ...] = ()) -> "_Conjunct":
         return cls(tuple(sorted(atom_vars(atom), key=term_key)),
-                   (atom,) + tuple(a for a in alts if a != atom))
+                   (atom,) + tuple(a for a in alts if a != atom), idx)
 
     def unbound(self, subst: dict) -> int:
         return sum(1 for v in self.vars if v not in subst)
 
-    def estimate(self, subst: dict, idx: _Index) -> float:
-        return sum(_estimate(a, subst, idx) for a in self.alts)
+    def lookup(self, subst: dict) -> list[tuple]:
+        return [_lookup(alt, subst, self.idx) for alt in self.alts]
 
-    def matches(self, subst: dict, idx: _Index) -> Iterator[dict]:
+    def matches(self, subst: dict, found: Optional[list] = None
+                ) -> Iterator[dict]:
+        """Extensions of `subst` by the lookups of the alternatives, made
+        one at a time unless `found` holds them already."""
         if len(self.alts) == 1:
-            yield from _match_atom(self.alts[0], subst, idx)
+            yield from _matches(
+                subst, found[0] if found else _lookup(self.alts[0], subst, self.idx))
             return
         new = [v for v in self.vars if v not in subst]
         seen = set()
-        for alt in self.alts:
-            for ext in _match_atom(alt, subst, idx):
+        for i, alt in enumerate(self.alts):
+            for ext in _matches(
+                    subst, found[i] if found else _lookup(alt, subst, self.idx)):
                 key = tuple(ext[v] for v in new)
                 if key in seen:
                     continue
@@ -386,31 +299,34 @@ class _Conjunct:
                 yield out
 
 
-def _eval_atoms(conjuncts: list, subst: dict, idx: _Index) -> Iterator[dict]:
+def _eval_atoms(conjuncts: list, subst: dict) -> Iterator[dict]:
     """Join `conjuncts` (canonically sorted) depth-first.
 
     Greedy join order per binding: fewest unbound variables first, then
-    the fewest candidates in the index, then canonical order (`min` keeps
-    the first of equals).
+    the fewest candidates in the index lookups, then canonical order (`min`
+    keeps the first of equals).  The chosen conjunct is matched with the
+    lookups that sized it.
     """
     if not conjuncts:
         yield subst
         return
-    if len(conjuncts) == 1:
-        best, rest = conjuncts[0], []
-    else:
+    tied = conjuncts
+    if len(conjuncts) > 1:
         counts = [c.unbound(subst) for c in conjuncts]
         least = min(counts)
         tied = [c for c, n in zip(conjuncts, counts) if n == least]
-        best = tied[0] if len(tied) == 1 else \
-            min(tied, key=lambda c: c.estimate(subst, idx))
-        rest = [c for c in conjuncts if c is not best]
-    for ext in best.matches(subst, idx):
-        yield from _eval_atoms(rest, ext, idx)
+    if len(tied) == 1:
+        best, found = tied[0], None
+    else:
+        best, found = min(((c, c.lookup(subst)) for c in tied),
+                          key=lambda cf: sum(len(f[2]) for f in cf[1]))
+    rest = [c for c in conjuncts if c is not best]
+    for ext in best.matches(subst, found):
+        yield from _eval_atoms(rest, ext)
 
 
 def _bgp_solutions(bgp: Bgp, idx: _Index) -> Iterator[dict]:
-    yield from _eval_atoms([_Conjunct.of(a) for a in bgp.sorted_atoms()], {}, idx)
+    yield from _eval_atoms([_Conjunct.of(a, idx) for a in bgp.sorted_atoms()], {})
 
 
 def _as_union(pattern: Pattern) -> UnionPattern:
@@ -438,7 +354,7 @@ def eval_simple(pattern: Pattern, store: TripleStore,
 def stored_matches(atom: Atom, store: TripleStore) -> Iterator[Substitution]:
     """Bindings of the atom's variables under which it is a stored fact
     (or axiom), looked up in the snapshot's index."""
-    return _match_atom(atom, {}, _index(store))
+    return _matches({}, _lookup(atom, {}, _index(store)))
 
 
 def update_solutions(pattern: Pattern, store: TripleStore,
@@ -468,7 +384,7 @@ def update_solutions(pattern: Pattern, store: TripleStore,
         rest = d.atoms - binders
         rest_vars = frozenset(v for a in rest for v in atom_vars(a))
         free = frozenset(a.term for a in binders) - rest_vars
-        if free and not idx.universe:
+        if free and not store.terms:
             continue
         kept = Bgp(rest | {a for a in binders if a.term in rest_vars},
                    general=d.general)
@@ -500,8 +416,8 @@ def rewritten_substitutions(pattern: Pattern, store: TripleStore
         for g in d.sorted_atoms():
             ucq = rewrite_bgp(Bgp({g}, general=d.general), store.tbox).ucq
             conjuncts.append(_Conjunct.of(
-                g, tuple(a for cq in ucq.sorted_disjuncts() for a in cq.atoms)))
-        yield from _eval_atoms(conjuncts, {}, idx)
+                g, idx, tuple(a for cq in ucq.sorted_disjuncts() for a in cq.atoms)))
+        yield from _eval_atoms(conjuncts, {})
 
 
 def answers_rdfs_rewriting(pattern: Pattern, store: TripleStore,

@@ -35,7 +35,13 @@ from itertools import product
 from typing import Iterable, Optional
 
 from rdfsupd.entailment import abox_fixpoint, materialise, reduce_store
-from rdfsupd.errors import ModeError, NonStandardUse, UnsupportedFeature, VarInPredicate
+from rdfsupd.errors import (
+    ModeError,
+    NonStandardUse,
+    UnknownSemantics,
+    UnsupportedFeature,
+    VarInPredicate,
+)
 from rdfsupd.model import (
     ABOX_KINDS,
     TBOX_KINDS,
@@ -97,7 +103,7 @@ class Semantics(Enum):
         for sem in cls:
             if sem.value == key:
                 return sem
-        raise ValueError(
+        raise UnknownSemantics(
             f"unknown semantics {name!r}; expected one of "
             + ", ".join(s.value for s in cls)
         )

@@ -1,9 +1,22 @@
-"""Shared fixtures: the family example everything in the docs builds on."""
+"""Shared fixtures: the family example everything in the docs builds on,
+and the medium-size store of the sweeps against the oracle."""
+
+import random
 
 import pytest
 
 from rdfsupd import Iri, materialise, parse_turtle, reduce_store
-from rdfsupd.model import EXAMPLE_NS
+from rdfsupd.model import (
+    EXAMPLE_NS,
+    ClassAtom,
+    DomainAtom,
+    RangeAtom,
+    RoleAtom,
+    SubClassAtom,
+    SubPropAtom,
+    TripleStore,
+    atom_sort_key,
+)
 
 #: Two role assertions plus the ten-axiom family ontology.
 FAMILY_TEXT = """
@@ -27,6 +40,37 @@ DIAMOND_TEXT = """
 :B rdfs:subClassOf :D . :C rdfs:subClassOf :E .
 :D rdfs:subClassOf :E . :E rdfs:subClassOf :F .
 """
+
+
+def medium_store(seed: int) -> TripleStore:
+    """50 classes, 8 properties, 120 individuals, 2,000 assertions.
+
+    Subsumptions form a shallow forest (so the brute-force oracle stays
+    fast) in which three reversed edges close cycles.
+    """
+    rng = random.Random(seed)
+
+    def names(prefix, n):
+        return [Iri(f"{EXAMPLE_NS}{prefix}{k}") for k in range(n)]
+
+    classes, props, inds = names("C", 50), names("p", 8), names("i", 120)
+    tbox = {SubClassAtom(c, rng.choice(classes[:max(10, k // 2)]))
+            for k, c in enumerate(classes) if k >= 10}
+    tbox |= {SubPropAtom(p, rng.choice(props[:k]))
+             for k, p in enumerate(props) if k >= 2}
+    for _ in range(3):
+        ax = rng.choice(sorted(tbox, key=atom_sort_key))
+        tbox.add(type(ax)(ax.sup, ax.sub))
+    for p in props:
+        tbox.add(DomainAtom(p, rng.choice(classes)))
+        tbox.add(RangeAtom(p, rng.choice(classes)))
+    abox = set()
+    while len(abox) < 2000:
+        if rng.random() < 0.5:
+            abox.add(ClassAtom(rng.choice(inds), rng.choice(classes)))
+        else:
+            abox.add(RoleAtom(rng.choice(inds), rng.choice(props), rng.choice(inds)))
+    return TripleStore(frozenset(tbox), frozenset(abox), frozenset())
 
 
 def ex(name: str) -> Iri:

@@ -186,6 +186,20 @@ class TestModeCommands:
         assert main(["mat", str(bad)]) == 3
         bad.write_text(":x :p .")
         assert main(["mat", str(bad)]) == 2
+        bad.write_bytes(b":x a :\xff .")
+        assert main(["mat", str(bad)]) == 2
+
+    def test_internal_error_exit_70(self, family_file, monkeypatch, capsys):
+        # A bug inside the engine is not the input's fault, even when it
+        # surfaces as a ValueError.
+        def broken(*args):
+            raise ValueError("injected")
+
+        monkeypatch.setattr("rdfsupd.cli.answers_rdfs_rewriting", broken)
+        assert main(["query", EX1_QUERY, family_file]) == 70
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback")
+        assert err.endswith("rdfsupd: internal error: ValueError: injected\n")
 
 
 class TestDiff:

@@ -1,7 +1,7 @@
 import random
 import time
 
-from conftest import ex
+from conftest import ex, medium_store
 from rdfsupd.entailment import (
     ABOX_RULES,
     TBOX_RULES,
@@ -17,10 +17,8 @@ from rdfsupd.entailment import (
     tbox_closure,
 )
 from rdfsupd.model import (
-    EXAMPLE_NS,
     ClassAtom,
     DomainAtom,
-    Iri,
     RangeAtom,
     RoleAtom,
     StoreMode,
@@ -295,41 +293,10 @@ class TestClosureProperties:
             assert reduce_store(shuffled) == reduce_store(store)
 
 
-def _medium_store(seed: int) -> TripleStore:
-    """50 classes, 8 properties, 120 individuals, 2,000 assertions.
-
-    Subsumptions form a shallow forest (so the brute-force oracle stays
-    fast) in which three reversed edges close cycles.
-    """
-    rng = random.Random(seed)
-
-    def names(prefix, n):
-        return [Iri(f"{EXAMPLE_NS}{prefix}{k}") for k in range(n)]
-
-    classes, props, inds = names("C", 50), names("p", 8), names("i", 120)
-    tbox = {SubClassAtom(c, rng.choice(classes[:max(10, k // 2)]))
-            for k, c in enumerate(classes) if k >= 10}
-    tbox |= {SubPropAtom(p, rng.choice(props[:k]))
-             for k, p in enumerate(props) if k >= 2}
-    for _ in range(3):
-        ax = rng.choice(sorted(tbox, key=atom_sort_key))
-        tbox.add(type(ax)(ax.sup, ax.sub))
-    for p in props:
-        tbox.add(DomainAtom(p, rng.choice(classes)))
-        tbox.add(RangeAtom(p, rng.choice(classes)))
-    abox = set()
-    while len(abox) < 2000:
-        if rng.random() < 0.5:
-            abox.add(ClassAtom(rng.choice(inds), rng.choice(classes)))
-        else:
-            abox.add(RoleAtom(rng.choice(inds), rng.choice(props), rng.choice(inds)))
-    return TripleStore(frozenset(tbox), frozenset(abox), frozenset())
-
-
 def test_medium_sweep_against_oracle():
     start = time.perf_counter()
     for seed in range(3):
-        store = _medium_store(seed)
+        store = medium_store(seed)
         oracle = oracle_mat(store)
         closure = oracle.abox
 

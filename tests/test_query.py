@@ -2,12 +2,16 @@ from conftest import ex
 from rdfsupd.entailment import materialise, tbox_closure
 from rdfsupd.model import (
     RDFS_SUBCLASSOF,
+    RDFS_SUBPROPERTYOF,
     AnyTermAtom,
     Bgp,
     ClassAtom,
+    DomainAtom,
     PathAtom,
+    RangeAtom,
     RoleAtom,
     SubClassAtom,
+    SubPropAtom,
     TriplePattern,
     TripleStore,
     UnionPattern,
@@ -300,6 +304,106 @@ class TestJoinOfUnions:
         assert rows(got) == {(ex("jack"),), (ex("jane"),)}
 
 
+def _general_bgp(rng, store, n_atoms):
+    """`n_atoms` general atoms of every kind over three variables: class
+    atoms with a variable class, role atoms (some `?X :p ?X`, some with a
+    variable property), each axiom kind, raw triples with a variable
+    predicate, `sc*`/`sp*` paths and any-term binders.  A variable may
+    stand in positions of different sorts."""
+    classes, props, inds = _store_vocab(store)
+    variables = [Var("v0"), Var("v1"), Var("v2")]
+
+    def v():
+        return rng.choice(variables)
+
+    def term(pool):
+        return v() if rng.random() < 0.6 else rng.choice(pool)
+
+    def repeated(make):
+        return make(v())
+
+    kinds = [
+        lambda: ClassAtom(term(inds), v()),
+        lambda: ClassAtom(term(inds), rng.choice(classes)),
+        lambda: RoleAtom(term(inds), rng.choice(props), term(inds)),
+        lambda: repeated(lambda x: RoleAtom(x, rng.choice(props), x)),
+        lambda: RoleAtom(term(inds), v(), term(inds)),
+        lambda: SubClassAtom(term(classes), term(classes)),
+        lambda: SubPropAtom(term(props), term(props)),
+        lambda: DomainAtom(term(props), term(classes)),
+        lambda: RangeAtom(term(props), term(classes)),
+        lambda: TriplePattern(term(inds + classes), v(), term(inds + classes)),
+        lambda: repeated(lambda x: TriplePattern(x, v(), x)),
+        lambda: PathAtom(term(classes), RDFS_SUBCLASSOF, term(classes)),
+        lambda: PathAtom(term(props), RDFS_SUBPROPERTYOF, term(props)),
+        lambda: repeated(lambda x: PathAtom(x, RDFS_SUBCLASSOF, x)),
+        lambda: AnyTermAtom(v()),
+    ]
+    atoms = set()
+    while len(atoms) < n_atoms:
+        atoms.add(rng.choice(kinds)())
+    return Bgp(frozenset(atoms), general=True)
+
+
+class TestEveryKindSweep:
+    """The index answers every atom kind as the brute-force matcher does."""
+
+    def test_eval_simple_against_backtracking_oracle(self):
+        import random
+
+        from rdfsupd.entailment import reduce_store
+        from rdfsupd.oracle import oracle_eval
+
+        checked = answered = 0
+        kinds_answered = set()
+        for seed in range(100):
+            for cycles in (False, True):
+                plain = gen_store(GenConfig(seed=seed, max_axioms=10,
+                                            max_assertions=12,
+                                            allow_cycles=cycles))
+                rng = random.Random(seed * 2 + cycles)
+                for store in (plain, materialise(plain), reduce_store(plain)):
+                    for n_atoms in (1, 2, 3):
+                        bgp = _general_bgp(rng, store, n_atoms)
+                        vars_ = tuple(sorted(bgp.vars(), key=str))
+                        got = eval_simple(bgp, store, vars_).rows
+                        assert got == oracle_eval(bgp, store, vars_), \
+                            (seed, cycles, bgp)
+                        checked += 1
+                        if got:
+                            answered += 1
+                            kinds_answered |= {type(a) for a in bgp.atoms}
+        assert checked == 1800
+        # Not a vacuous sweep: many patterns, of every kind, have answers.
+        assert answered >= 300
+        assert len(kinds_answered) == 9
+
+    def test_medium_rewriting_against_materialisation(self):
+        import random
+        import time
+
+        from conftest import medium_store
+        from rdfsupd.oracle import oracle_mat
+
+        start = time.perf_counter()
+        answered = 0
+        for seed in range(2):
+            store = medium_store(seed)
+            closed = oracle_mat(store)
+            rng = random.Random(seed)
+            for n_atoms in (1, 2, 2, 3, 3):
+                for _ in range(4):
+                    bgp = UnionPattern.single(_shared_var_bgp(rng, store, n_atoms))
+                    vars_ = tuple(sorted(bgp.vars(), key=str))
+                    got = answers_rdfs_rewriting(bgp, store, vars_)
+                    assert got == answers_rdfs_materialisation(bgp, closed, vars_), \
+                        (seed, bgp)
+                    answered += bool(got)
+        assert answered >= 20
+        # Loose regression bound: the whole test takes a few seconds.
+        assert time.perf_counter() - start < 120
+
+
 class TestSnapshotIndex:
     def test_index_reused_and_does_not_keep_store_alive(self, family_store):
         import gc
@@ -328,12 +432,13 @@ class TestSnapshotIndex:
         store = TripleStore(family_store.tbox, family_store.abox_explicit)
         eval_simple(UnionPattern.empty(), store)
         idx = _index(store)
-        assert not {"instances", "objects", "subjects", "roles_by_pred"} \
-            & set(vars(idx))
+        assert not idx._rows and not idx._maps
         assert "terms" not in vars(store)
         q = parse_query("SELECT ?X WHERE { ?X a :Child. }")
         eval_simple(q.where, store, q.select_vars)
-        assert "instances" in vars(idx) and "objects" not in vars(idx)
+        assert set(idx._rows) == {ClassAtom}
+        assert {rel for rel, _ in idx._maps} == {ClassAtom}
+        assert "terms" not in vars(store)
 
     def test_concurrent_first_queries_on_fresh_snapshots(self, family_store):
         # Threads race to build the index and its maps on a snapshot that
