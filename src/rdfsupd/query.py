@@ -439,10 +439,10 @@ def answers_rdfs_materialisation(pattern: Pattern, store: TripleStore,
                                  ) -> AnswerSet:
     """Entailed answers computed over the closed store.
 
-    A store already tagged materialised is used as-is for assertional
-    patterns; general patterns additionally get the TBox transitively closed
-    (a no-op for stores produced by `materialise`).  Other stores are closed
-    on the fly; the input snapshot is never touched.
+    A store already tagged materialised is used as-is, with its index; only
+    general patterns over a TBox that is not transitively closed (as
+    `materialise` leaves it) get a copy with the closed TBox.  Other stores
+    are closed on the fly; the input snapshot is never touched.
     """
     union = _as_union(pattern)
     if store.mode is StoreMode.MATERIALISED:
@@ -451,7 +451,9 @@ def answers_rdfs_materialisation(pattern: Pattern, store: TripleStore,
             not isinstance(a, (ClassAtom, RoleAtom))
             for d in union.disjuncts for a in d.atoms
         ):
-            target = replace(store, tbox=tbox_closure(store.tbox))
+            closed = tbox_closure(store.tbox)
+            if closed != store.tbox:
+                target = replace(store, tbox=closed)
     else:
         target = materialise(store)
     return eval_simple(union, target, vars)

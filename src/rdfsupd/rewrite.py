@@ -16,6 +16,7 @@ strategy, and the two subsumption-cut strategies.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -58,24 +59,6 @@ class RewriteResult:
 
     ucq: UnionPattern
     fresh_vars: frozenset
-
-
-def axiom_applicable(atom: Atom, axiom) -> bool:
-    """Can `atom` be derived in one rule step from an atom shaped by `axiom`?
-
-    Exactly four shape combinations qualify: a class atom against a subclass,
-    domain, or range axiom whose superclass/declared class matches, and a
-    role atom against a subproperty axiom whose superproperty matches.
-    """
-    if isinstance(atom, ClassAtom):
-        if isinstance(axiom, SubClassAtom):
-            return axiom.sup == atom.cls
-        if isinstance(axiom, (DomainAtom, RangeAtom)):
-            return axiom.cls == atom.cls
-        return False
-    if isinstance(atom, RoleAtom):
-        return isinstance(axiom, SubPropAtom) and axiom.sup == atom.prop
-    return False
 
 
 def rewrite_atom(atom: Atom, axiom, fresh) -> Atom:
@@ -131,7 +114,16 @@ def rewrite_bgp(bgp: Bgp, tbox, counter: Optional[Iterator[int]] = None
     def fresh() -> Var:
         return Var(f"{FRESH_PREFIX}{next(counter)}")
 
-    axioms = sorted(tbox, key=atom_sort_key)
+    # The axioms that derive an atom in one step, in canonical order, keyed
+    # by the atom's kind and class or property.
+    steps = defaultdict(list)
+    for ax in sorted(tbox, key=atom_sort_key):
+        if type(ax) is SubPropAtom:
+            steps[RoleAtom, ax.sup].append(ax)
+        elif type(ax) is SubClassAtom:
+            steps[ClassAtom, ax.sup].append(ax)
+        else:
+            steps[ClassAtom, ax.cls].append(ax)
     first = frozenset(bgp.atoms)
     seen = {_canon_key(first)}
     queue: list[frozenset] = [first]
@@ -142,9 +134,8 @@ def rewrite_bgp(bgp: Bgp, tbox, counter: Optional[Iterator[int]] = None
         for g in sorted(atoms, key=atom_sort_key):
             if not isinstance(g, ABOX_KINDS):
                 continue
-            for ax in axioms:
-                if not axiom_applicable(g, ax):
-                    continue
+            target = g.cls if type(g) is ClassAtom else g.prop
+            for ax in steps.get((type(g), target), ()):
                 candidate = frozenset((atoms - {g}) | {rewrite_atom(g, ax, fresh)})
                 key = _canon_key(candidate)
                 if key not in seen:

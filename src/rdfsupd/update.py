@@ -5,7 +5,8 @@ the pre-update snapshot, instantiate both templates with every solution,
 drop instantiations that stay non-ground, then apply deletions before
 insertions.  They differ in which entailment regime binds the WHERE clause,
 how templates are rewritten beforehand, and which normalisation runs
-afterwards:
+afterwards (mat2 and red1 take only the templates of the paper's rewritten
+operations, `build_mat2_update` and `build_red1_update`):
 
 ==========  =============================================================
 naive       plain set difference/union, no reasoning; result mode plain
@@ -14,10 +15,10 @@ mat1a       also erase every consequence of the deleted assertions
 mat1b       like mat1a but explicit inserts survive: the explicit
             partition is updated set-wise and the implicit one is
             maintained by delete-and-rederive
-mat2        delete instantiations plus all their causes, insert
-            instantiations plus all their effects (rewritten operation)
+mat2        naive with the delete template joined with all its causes and
+            the insert template closed under all its effects
 red0        naive with entailed WHERE bindings, then re-reduce
-red1        additionally deletes all causes of the delete instantiations
+red1        red0 with the delete template joined with all its causes
 outcut      subsumption deletions cut the edges leaving the subclass
 incut       subsumption deletions cut the edges entering the superclass
 ==========  =============================================================
@@ -60,9 +61,10 @@ from rdfsupd.model import (
 from rdfsupd.query import AnswerSet, stored_matches, update_solutions
 from rdfsupd.rewrite import (
     CutDirection,
+    all_causes,
+    all_effects,
     build_cut_update,
-    build_mat2_update,
-    build_red1_update,
+    is_fresh_var,
 )
 from rdfsupd.sparql import UpdateOperation
 
@@ -150,19 +152,20 @@ def _ground_template(template: Bgp, theta: Substitution,
                      match: bool = False) -> Iterable[Atom]:
     """Ground instantiations of a template under one solution.
 
-    Variables in `free` are any-term binder variables: they range over the
-    whole term universe of `store` independently, so each template atom
-    grounds them locally instead of the caller enumerating their cross
-    product.  With `match`, a storable atom grounds them only to the facts
-    of `store` it matches; this is for delete templates whose result is
-    only subtracted from the store, where an absent fact deletes nothing.
+    Variables in `free` are any-term binder variables, and so are the
+    rewriter's witnesses (`?x#n`), which no WHERE clause binds: they range
+    over the term universe of `store` independently, so each template atom
+    grounds them locally instead of the caller enumerating their product.
+    With `match`, a storable atom grounds them only to the facts of `store`
+    it matches; this is for delete templates whose result is only
+    subtracted from the store, where an absent fact deletes nothing.
     """
     for atom in template:
         a = substitute(atom, theta)
         missing = atom_vars(a)
         if not missing:
             groundings = (a,)
-        elif not missing <= free:
+        elif not all(v in free or is_fresh_var(v) for v in missing):
             continue
         elif match and isinstance(a, TBOX_KINDS + ABOX_KINDS):
             groundings = (substitute(a, s) for s in stored_matches(a, store))
@@ -299,15 +302,18 @@ def apply_mat1b(store: TripleStore, op: UpdateOperation) -> TripleStore:
 
 
 def apply_mat2(store: TripleStore, op: UpdateOperation) -> TripleStore:
-    """Causes-and-effects strategy, executed as a rewritten naive update.
+    """Causes-and-effects strategy: naive with the delete template joined
+    with all its causes and the insert template closed under its effects.
 
-    The result is materialised by construction: removing an instantiation
-    together with every assertion that derives it cannot strand a derived
-    fact, and insertions carry their full consequence set.
+    On a materialised store the WHERE clause as written has the entailed
+    answers, and so is the result: removing an instantiation together with
+    every assertion that derives it cannot strand a derived fact, and
+    insertions carry their full consequence set.
     """
     _reject_terminological_templates(op, "mat2")
-    rewritten = build_mat2_update(op, store.tbox)
-    plain = apply_naive(store, rewritten)
+    causes = all_causes(op.delete_template, store.tbox)
+    effects = all_effects(op.insert_template, store.tbox)
+    plain = apply_naive(store, UpdateOperation(causes, effects, op.where))
     return TripleStore(
         plain.tbox, plain.abox, frozenset(), StoreMode.MATERIALISED
     )
@@ -328,23 +334,23 @@ def apply_red0(store: TripleStore, op: UpdateOperation,
 
 
 def apply_red1(store: TripleStore, op: UpdateOperation) -> TripleStore:
-    """Causes-deleting reduced strategy: delete template rewritten to all
-    causes (insert template untouched), applied naively, then re-reduce."""
+    """Causes-deleting reduced strategy: red0 with the delete template
+    joined with all its causes, the insert template untouched."""
     _reject_terminological_templates(op, "red1")
-    rewritten = build_red1_update(op, store.tbox)
-    return reduce_store(apply_naive(store, rewritten))
+    causes = all_causes(op.delete_template, store.tbox)
+    return apply_red0(store, UpdateOperation(causes, op.insert_template, op.where))
 
 
 def apply_tbox_cut(store: TripleStore, op: UpdateOperation,
                    direction: CutDirection) -> TripleStore:
-    """Subsumption-cut strategy for general updates.
+    """Subsumption-cut strategy for general updates: mat0 over the cut
+    rewriting of `build_cut_update`.
 
     Works on a store with materialised TBox (which `materialise` produces);
     the cut then removes, per deleted `A sc B` triple, a minimal edge cut
     disconnecting A from B.  Assertional updates degenerate to mat0.
     """
-    rewritten = build_cut_update(op, direction)
-    return materialise(apply_naive(store, rewritten))
+    return apply_mat0(store, build_cut_update(op, direction))
 
 
 def bootstrap_partition(store: TripleStore) -> TripleStore:

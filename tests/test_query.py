@@ -426,6 +426,17 @@ class TestSnapshotIndex:
         finally:
             gc.enable()
 
+    def test_general_query_on_materialised_store_uses_its_index(self, family_mat):
+        # `materialise` closes the TBox, so a general query needs no copy of
+        # the store with a closed TBox and builds its index on the store.
+        q = parse_query("SELECT ?x ?c WHERE { ?x a ?c . ?c rdfs:subClassOf :Parent }",
+                        general=True)
+        assert "_index" not in vars(family_mat)
+        out = answers_rdfs_materialisation(q.where, family_mat, q.select_vars)
+        assert rows(out) == {(ex("jane"), ex("Mother"))}
+        assert {rel for rel, _ in vars(family_mat)["_index"]._maps} \
+            == {ClassAtom, SubClassAtom}
+
     def test_maps_built_on_first_use(self, family_store):
         from rdfsupd.query import _index
 

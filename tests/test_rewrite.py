@@ -22,7 +22,6 @@ from rdfsupd.rewrite import (
     CutDirection,
     all_causes,
     all_effects,
-    axiom_applicable,
     build_cut_update,
     build_mat2_update,
     build_red1_update,
@@ -33,35 +32,6 @@ from rdfsupd.rewrite import (
 from rdfsupd.sparql import UpdateOperation, parse_update
 
 X, Y = Var("X"), Var("Y")
-
-
-class TestApplicable:
-    def test_class_with_range(self):
-        assert axiom_applicable(
-            ClassAtom(Y, ex("Mother")), RangeAtom(ex("hasMother"), ex("Mother"))
-        )
-
-    def test_role_with_subproperty(self):
-        assert axiom_applicable(
-            RoleAtom(ex("joe"), ex("hasParent"), Y),
-            SubPropAtom(ex("hasFather"), ex("hasParent")),
-        )
-
-    def test_class_with_subclass_and_domain(self):
-        atom = ClassAtom(X, ex("Parent"))
-        assert axiom_applicable(atom, SubClassAtom(ex("Mother"), ex("Parent")))
-        assert not axiom_applicable(atom, SubClassAtom(ex("Parent"), ex("Thing")))
-        assert axiom_applicable(
-            ClassAtom(X, ex("Child")), DomainAtom(ex("hasMother"), ex("Child"))
-        )
-
-    def test_mismatched_shapes(self):
-        assert not axiom_applicable(
-            RoleAtom(X, ex("p"), Y), SubClassAtom(ex("A"), ex("B"))
-        )
-        assert not axiom_applicable(
-            SubClassAtom(ex("A"), ex("B")), SubClassAtom(ex("B"), ex("C"))
-        )
 
 
 class TestRewriteAtom:
@@ -146,6 +116,11 @@ class TestRewriteBgp:
         result = rewrite_bgp(q, tbox)
         shapes = {next(iter(d.atoms)).cls for d in result.ucq.disjuncts}
         assert shapes == {ex("A"), ex("B"), ex("C")}
+        # Subclass axioms derive class atoms only: a role atom and an axiom
+        # atom pass through unexpanded.
+        for atom in (RoleAtom(X, ex("p"), Y), SubClassAtom(ex("A"), ex("B"))):
+            q = Bgp(frozenset({atom}), general=True)
+            assert rewrite_bgp(q, tbox).ucq == UnionPattern.single(q)
 
     def test_cyclic_domain_range_terminates(self):
         tbox = frozenset(

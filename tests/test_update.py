@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import ex
+from conftest import ex, medium_store
 from rdfsupd.entailment import (
     abox_fixpoint,
     is_materialised,
@@ -21,7 +21,12 @@ from rdfsupd.model import (
 )
 from rdfsupd.oracle import GenConfig, gen_store, gen_update
 from rdfsupd.query import update_solutions
-from rdfsupd.rewrite import build_mat2_update, build_red1_update
+from rdfsupd.rewrite import (
+    all_causes,
+    build_mat2_update,
+    build_red1_update,
+    is_fresh_var,
+)
 from rdfsupd.sparql import parse_update
 from rdfsupd.turtle import parse_turtle
 from rdfsupd.update import (
@@ -426,6 +431,108 @@ class TestPreservation:
             red = reduce_store(plain)
             for sem in (Semantics.RED0, Semantics.RED1):
                 assert is_reduced(run(red, op, sem)), (seed, sem)
+
+
+def _spec_mat2(store, op):
+    """mat2 as the paper defines it: its rewritten operation, applied
+    naively and tagged materialised."""
+    plain = apply_naive(store, build_mat2_update(op, store.tbox))
+    return TripleStore(plain.tbox, plain.abox, frozenset(), StoreMode.MATERIALISED)
+
+
+def _spec_red1(store, op):
+    """red1 as the paper defines it: its rewritten operation, applied
+    naively, then re-reduced."""
+    return reduce_store(apply_naive(store, build_red1_update(op, store.tbox)))
+
+
+class TestRewrittenSpecification:
+    """mat2 and red1 expand only their templates, and bind the WHERE clause
+    as written (mat2) or by the join of per-atom unions (red1).  The
+    rewritten operations of `build_mat2_update` and `build_red1_update`,
+    whose WHERE clause is the unfolded union joined with any-term binders,
+    are the specification."""
+
+    def check(self, plain, op):
+        mat, red = materialise(plain), reduce_store(plain)
+        got_mat = run(mat, op, Semantics.MAT2)
+        assert got_mat == _spec_mat2(mat, op)
+        got_red = run(red, op, Semantics.RED1)
+        assert got_red == _spec_red1(red, op)
+        return got_mat, got_red
+
+    def stores(self):
+        """Small seeded stores, with cycles in every other one, and the
+        classes that have a domain or range in each."""
+        for seed in range(120):
+            cfg = GenConfig(seed=seed, max_classes=8, max_props=3,
+                            max_individuals=6, max_axioms=10,
+                            max_assertions=30, allow_cycles=seed % 2 == 1)
+            plain = gen_store(cfg)
+            ranged = sorted({ax.cls for ax in plain.tbox
+                             if isinstance(ax, (DomainAtom, RangeAtom))})
+            yield seed, cfg, plain, ranged
+
+    def test_generated_updates(self):
+        for _, cfg, plain, _ in self.stores():
+            self.check(plain, gen_update(cfg, plain))
+
+    def test_class_deletes_that_mint_witnesses(self):
+        witnessed = 0
+        for seed, _, plain, ranged in self.stores():
+            if not ranged:
+                continue
+            c, d = ranged[seed % len(ranged)], ranged[seed // 2 % len(ranged)]
+            ops = [parse_update(f"DELETE {{ ?w a {c} }} INSERT {{ ?w a {d} }} "
+                                f"WHERE {{ ?w a {c} }}")]
+            inds = sorted(a.inst for a in plain.abox if isinstance(a, ClassAtom))
+            if inds:
+                ops.append(parse_update(
+                    f"DELETE DATA {{ {inds[seed % len(inds)]} a {c} }}"))
+            for op in ops:
+                assert any(map(is_fresh_var, all_causes(
+                    op.delete_template, plain.tbox).vars()))
+                self.check(plain, op)
+                witnessed += 1
+        assert witnessed >= 30
+
+    def test_user_written_binders(self):
+        # One binder joined with the rest of the clause, one free.
+        changed = 0
+        for seed, _, plain, ranged in self.stores():
+            props = sorted({a.prop for a in plain.abox if isinstance(a, RoleAtom)})
+            if not (ranged and props):
+                continue
+            c, p = ranged[seed % len(ranged)], props[seed % len(props)]
+            got_mat, _ = self.check(plain, parse_update(
+                f"DELETE {{ ?z {p} ?w . ?w a {c} }} INSERT {{ ?w {p} ?w }} "
+                f"WHERE {{ ?w a {c} . ?w a rdfs:Resource . ?z a rdfs:Resource }}"))
+            changed += got_mat.abox != materialise(plain).abox
+        assert changed >= 10
+
+    def test_general_where_with_tbox_atom(self):
+        changed = 0
+        for seed, _, plain, ranged in self.stores():
+            if not ranged:
+                continue
+            c = ranged[seed % len(ranged)]
+            got_mat, _ = self.check(plain, parse_update(
+                f"DELETE {{ ?w a {c} }} INSERT {{ ?w a ?k }} "
+                f"WHERE {{ ?w a {c} . {c} rdfs:subClassOf ?k }}", general=True))
+            changed += got_mat.abox != materialise(plain).abox
+        assert changed >= 10
+
+    def test_medium_store_keeps_store_modes(self):
+        plain = medium_store(3)
+        domains = sorted((ax.prop, ax.cls) for ax in plain.tbox
+                         if isinstance(ax, DomainAtom))
+        (p, c), (_, d) = domains[0], domains[-1]
+        op = parse_update(f"DELETE {{ ?x a {c} }} INSERT {{ ?x a {d} }} "
+                          f"WHERE {{ ?x a {c} . ?x {p} ?y }}")
+        got_mat, got_red = self.check(plain, op)
+        assert got_mat.abox != materialise(plain).abox
+        assert is_materialised(got_mat)
+        assert is_reduced(got_red)
 
 
 class TestDeleteGrounding:
