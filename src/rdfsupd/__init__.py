@@ -10,9 +10,6 @@ terminological deletions.
 """
 
 from rdfsupd.entailment import (
-    ABOX_RULES,
-    TBOX_RULES,
-    RuleId,
     abox_fixpoint,
     is_materialised,
     is_reduced,
@@ -73,8 +70,6 @@ from rdfsupd.update import Semantics, bootstrap_partition, instantiate, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABOX_RULES",
-    "TBOX_RULES",
     "AnswerSet",
     "AnyTermAtom",
     "Bgp",
@@ -91,7 +86,6 @@ __all__ = [
     "RdfsUpdError",
     "RewriteResult",
     "RoleAtom",
-    "RuleId",
     "Semantics",
     "SizeLimit",
     "StoreMode",

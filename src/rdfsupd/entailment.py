@@ -28,43 +28,20 @@ closure every term:
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterable
 
 from rdfsupd.model import (
+    TBOX_KINDS,
     ClassAtom,
-    DomainAtom,
-    RangeAtom,
     RoleAtom,
     StoreMode,
     SubClassAtom,
     SubPropAtom,
     Term,
     TripleStore,
+    atom_terms,
     term_key,
 )
-
-
-class RuleId(Enum):
-    """The six inference rules, in presentation order.
-
-    The first four in `ABOX_RULES` derive assertional facts; the two in
-    `TBOX_RULES` close subsumption chains and only matter for terminological
-    queries and TBox updates.
-    """
-
-    SP_INHERIT = "sp_inherit"
-    RANGE = "range"
-    SC_INHERIT = "sc_inherit"
-    SP_TRANS = "sp_trans"
-    DOMAIN = "domain"
-    SC_TRANS = "sc_trans"
-
-
-ABOX_RULES = frozenset(
-    {RuleId.SP_INHERIT, RuleId.RANGE, RuleId.SC_INHERIT, RuleId.DOMAIN}
-)
-TBOX_RULES = frozenset({RuleId.SP_TRANS, RuleId.SC_TRANS})
 
 
 Pair = tuple[int, int]
@@ -96,24 +73,16 @@ class _Codec:
 
 
 def _encode_tbox(codec: _Codec, tbox: Iterable) -> tuple[Edges, Edges, Edges, Edges]:
-    """Subclass, subproperty, domain and range edges as adjacency maps."""
-    sc: Edges = {}
-    sp: Edges = {}
-    dom: Edges = {}
-    rng: Edges = {}
+    """Subclass, subproperty, domain and range edges as adjacency maps (the
+    order of `TBOX_KINDS`)."""
+    by_kind: dict[type, Edges] = {kind: {} for kind in TBOX_KINDS}
     for ax in tbox:
-        if isinstance(ax, SubClassAtom):
-            edges, a, b = sc, ax.sub, ax.sup
-        elif isinstance(ax, SubPropAtom):
-            edges, a, b = sp, ax.sub, ax.sup
-        elif isinstance(ax, DomainAtom):
-            edges, a, b = dom, ax.prop, ax.cls
-        elif isinstance(ax, RangeAtom):
-            edges, a, b = rng, ax.prop, ax.cls
-        else:
+        edges = by_kind.get(type(ax))
+        if edges is None:
             raise TypeError(f"not a terminological axiom: {ax!r}")
+        a, b = atom_terms(ax)
         edges.setdefault(codec.enc(a), set()).add(codec.enc(b))
-    return sc, sp, dom, rng
+    return tuple(by_kind.values())
 
 
 def _encode_abox(codec: _Codec, abox: Iterable) -> tuple[set[Pair], set[Triple]]:

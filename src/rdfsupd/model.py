@@ -13,14 +13,24 @@ individual positions; general patterns additionally admit terminological
 atoms, variables in class/property positions, raw triple patterns with a
 variable predicate, zero-or-more subsumption paths, and the internal
 any-term binder.
+
+Each per-kind fact is written once, in one ordered table of the nine atom
+kinds (`_KIND_TABLE`): the canonical rank order, the fixed triple predicate
+of the five kinds that have one, and, as slices of the table, the TBox and
+ABox kinds.  A kind's terms are its dataclass fields in order.  The term
+getters, `substitute`, `atom_to_triple`, `classify_triple`, the sort key,
+the store's validation and the TBox/ABox split are derived from the table
+and the fields, and the other modules read them instead of branching on
+the kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from rdfsupd.errors import NonStandardUse, VarInPredicate
@@ -74,11 +84,6 @@ RDFS_SUBPROPERTYOF = Iri(RDFS_NS + "subPropertyOf")
 RDFS_DOMAIN = Iri(RDFS_NS + "domain")
 RDFS_RANGE = Iri(RDFS_NS + "range")
 RDFS_RESOURCE = Iri(RDFS_NS + "Resource")
-
-#: Predicates that encode an assertion kind rather than a user role.
-RESERVED_PREDICATES = frozenset(
-    {RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, RDFS_DOMAIN, RDFS_RANGE}
-)
 
 
 def is_vocab_iri(term: Term) -> bool:
@@ -175,74 +180,79 @@ TBoxAtom = Union[SubClassAtom, SubPropAtom, DomainAtom, RangeAtom]
 AboxAtom = Union[ClassAtom, RoleAtom]
 Atom = Union[TBoxAtom, AboxAtom, TriplePattern, PathAtom, AnyTermAtom]
 
-TBOX_KINDS = (SubClassAtom, SubPropAtom, DomainAtom, RangeAtom)
-ABOX_KINDS = (ClassAtom, RoleAtom)
+#: Every atom kind, in canonical rank order, with the fixed predicate of its
+#: triple form and what `classify_triple` calls its arguments in errors.
+#: The first four are the TBox kinds and the next two the ABox kinds; the
+#: first seven have a triple form.  A kind's terms are its fields in order;
+#: role atoms and triple patterns carry their predicate as the middle one.
+_KIND_TABLE = (
+    (SubClassAtom, RDFS_SUBCLASSOF, "a class name"),
+    (SubPropAtom, RDFS_SUBPROPERTYOF, "a property name"),
+    (DomainAtom, RDFS_DOMAIN, "a domain argument"),
+    (RangeAtom, RDFS_RANGE, "a range argument"),
+    (ClassAtom, RDF_TYPE, "an rdf:type argument"),
+    (RoleAtom, None, "a role argument"),
+    (TriplePattern, None, None),
+    (PathAtom, None, None),
+    (AnyTermAtom, None, None),
+)
 
-_KIND_RANK = {
-    SubClassAtom: 0,
-    SubPropAtom: 1,
-    DomainAtom: 2,
-    RangeAtom: 3,
-    ClassAtom: 4,
-    RoleAtom: 5,
-    TriplePattern: 6,
-    PathAtom: 7,
-    AnyTermAtom: 8,
-}
+_KINDS = tuple(kind for kind, _, _ in _KIND_TABLE)
+TBOX_KINDS = _KINDS[:4]
+ABOX_KINDS = _KINDS[4:6]
+STORED_KINDS = _KINDS[:6]
+_TRIPLE_KINDS = _KINDS[:7]
+_RANK = {kind: i for i, kind in enumerate(_KINDS)}
+_ARGUMENTS = {kind: what for kind, _, what in _KIND_TABLE}
+
+#: The fixed triple predicate of each kind that has one.
+PREDICATE = {kind: pred for kind, pred, _ in _KIND_TABLE if pred is not None}
+_KIND_OF_PREDICATE = {pred: kind for kind, pred in PREDICATE.items()}
+
+#: Predicates that encode an assertion kind rather than a user role.
+RESERVED_PREDICATES = frozenset(PREDICATE.values())
+
+
+def _term_getter(kind: type):
+    names = [f.name for f in fields(kind)]
+    if len(names) == 1:
+        return lambda atom, get=attrgetter(names[0]): (get(atom),)
+    return attrgetter(*names)
+
+
+#: Each kind's getter of its terms, as a tuple in field order.
+TERM_GETTERS = {kind: _term_getter(kind) for kind in _KINDS}
 
 
 def atom_terms(atom: Atom) -> tuple[Term, ...]:
-    """Terms of the atom in positional order (paths include the predicate)."""
-    if isinstance(atom, (SubClassAtom, SubPropAtom)):
-        return (atom.sub, atom.sup)
-    if isinstance(atom, (DomainAtom, RangeAtom)):
-        return (atom.prop, atom.cls)
-    if isinstance(atom, ClassAtom):
-        return (atom.inst, atom.cls)
-    if isinstance(atom, RoleAtom):
-        return (atom.subj, atom.prop, atom.obj)
-    if isinstance(atom, TriplePattern):
-        return (atom.subj, atom.pred, atom.obj)
-    if isinstance(atom, PathAtom):
-        return (atom.subj, atom.pred, atom.obj)
-    if isinstance(atom, AnyTermAtom):
-        return (atom.term,)
-    raise TypeError(f"not an atom: {atom!r}")
+    """Terms of the atom in field order (paths include the predicate)."""
+    try:
+        return TERM_GETTERS[type(atom)](atom)
+    except KeyError:
+        raise TypeError(f"not an atom: {atom!r}") from None
 
 
 def atom_vars(atom: Atom) -> frozenset[Var]:
-    return frozenset(t for t in atom_terms(atom) if isinstance(t, Var))
+    return frozenset(t for t in atom_terms(atom) if type(t) is Var)
 
 
 def is_ground(atom: Atom) -> bool:
-    return not any(isinstance(t, Var) for t in atom_terms(atom))
+    return Var not in map(type, atom_terms(atom))
 
 
 def substitute(atom: Atom, binding: Mapping[Var, Iri]) -> Atom:
-    """Replace bound variables; unbound variables stay in place."""
+    """Replace bound variables; unbound variables and constants (a path's
+    predicate among them) stay in place."""
+    return type(atom)(*[binding.get(t, t) if type(t) is Var else t
+                        for t in atom_terms(atom)])
 
-    def s(t: Term) -> Term:
-        return binding.get(t, t) if isinstance(t, Var) else t
 
-    if isinstance(atom, SubClassAtom):
-        return SubClassAtom(s(atom.sub), s(atom.sup))
-    if isinstance(atom, SubPropAtom):
-        return SubPropAtom(s(atom.sub), s(atom.sup))
-    if isinstance(atom, DomainAtom):
-        return DomainAtom(s(atom.prop), s(atom.cls))
-    if isinstance(atom, RangeAtom):
-        return RangeAtom(s(atom.prop), s(atom.cls))
-    if isinstance(atom, ClassAtom):
-        return ClassAtom(s(atom.inst), s(atom.cls))
-    if isinstance(atom, RoleAtom):
-        return RoleAtom(s(atom.subj), s(atom.prop), s(atom.obj))
-    if isinstance(atom, TriplePattern):
-        return TriplePattern(s(atom.subj), s(atom.pred), s(atom.obj))
-    if isinstance(atom, PathAtom):
-        return PathAtom(s(atom.subj), atom.pred, s(atom.obj))
-    if isinstance(atom, AnyTermAtom):
-        return AnyTermAtom(s(atom.term))
-    raise TypeError(f"not an atom: {atom!r}")
+def split_tbox_abox(atoms: Iterable[Atom]) -> tuple[frozenset, frozenset]:
+    """The terminological atoms, and all the others."""
+    tbox, rest = set(), set()
+    for a in atoms:
+        (tbox if type(a) in TBOX_KINDS else rest).add(a)
+    return frozenset(tbox), frozenset(rest)
 
 
 def term_key(term: Term) -> tuple:
@@ -253,26 +263,17 @@ def term_key(term: Term) -> tuple:
 
 
 def atom_sort_key(atom: Atom) -> tuple:
-    return (_KIND_RANK[type(atom)],) + tuple(term_key(t) for t in atom_terms(atom))
+    return (_RANK[type(atom)],) + tuple(term_key(t) for t in atom_terms(atom))
 
 
 def atom_to_triple(atom: Atom) -> tuple[Term, Term, Term]:
     """Triple view of an atom. Paths and binders have no triple form."""
-    if isinstance(atom, SubClassAtom):
-        return (atom.sub, RDFS_SUBCLASSOF, atom.sup)
-    if isinstance(atom, SubPropAtom):
-        return (atom.sub, RDFS_SUBPROPERTYOF, atom.sup)
-    if isinstance(atom, DomainAtom):
-        return (atom.prop, RDFS_DOMAIN, atom.cls)
-    if isinstance(atom, RangeAtom):
-        return (atom.prop, RDFS_RANGE, atom.cls)
-    if isinstance(atom, ClassAtom):
-        return (atom.inst, RDF_TYPE, atom.cls)
-    if isinstance(atom, RoleAtom):
-        return (atom.subj, atom.prop, atom.obj)
-    if isinstance(atom, TriplePattern):
-        return (atom.subj, atom.pred, atom.obj)
-    raise TypeError(f"{type(atom).__name__} has no triple form")
+    kind = type(atom)
+    if kind not in _TRIPLE_KINDS:
+        raise TypeError(f"{kind.__name__} has no triple form")
+    terms = TERM_GETTERS[kind](atom)
+    pred = PREDICATE.get(kind)
+    return terms if pred is None else (terms[0], pred, terms[1])
 
 
 def classify_triple(
@@ -294,45 +295,25 @@ def classify_triple(
         if not general:
             raise VarInPredicate(f"variable predicate {pred} requires general mode")
         return TriplePattern(subj, pred, obj)
-
-    def check_args(*terms: Term, what: str) -> None:
-        for t in terms:
-            if is_vocab_iri(t):
-                raise NonStandardUse(f"reserved vocabulary {t} used as {what}")
-
-    def check_tbox_vars(*terms: Term) -> None:
-        if not general and any(isinstance(t, Var) for t in terms):
-            raise VarInPredicate(
-                "terminological pattern with variables requires general mode"
-            )
-
-    if pred == RDFS_SUBCLASSOF:
-        check_tbox_vars(subj, obj)
-        check_args(subj, obj, what="a class name")
-        return SubClassAtom(subj, obj)
-    if pred == RDFS_SUBPROPERTYOF:
-        check_tbox_vars(subj, obj)
-        check_args(subj, obj, what="a property name")
-        return SubPropAtom(subj, obj)
-    if pred == RDFS_DOMAIN:
-        check_tbox_vars(subj, obj)
-        check_args(subj, obj, what="a domain argument")
-        return DomainAtom(subj, obj)
-    if pred == RDFS_RANGE:
-        check_tbox_vars(subj, obj)
-        check_args(subj, obj, what="a range argument")
-        return RangeAtom(subj, obj)
-    if pred == RDF_TYPE:
-        check_args(subj, obj, what="an rdf:type argument")
-        if isinstance(obj, Var) and not general:
-            raise VarInPredicate(
-                f"variable class position {obj} requires general mode"
-            )
-        return ClassAtom(subj, obj)
-    if is_vocab_iri(pred):
-        raise NonStandardUse(f"reserved vocabulary predicate {pred}")
-    check_args(subj, obj, what="a role argument")
-    return RoleAtom(subj, pred, obj)
+    kind = _KIND_OF_PREDICATE.get(pred)
+    if kind is None:
+        if is_vocab_iri(pred):
+            raise NonStandardUse(f"reserved vocabulary predicate {pred}")
+        kind = RoleAtom
+    if kind in TBOX_KINDS and not general and (
+            isinstance(subj, Var) or isinstance(obj, Var)):
+        raise VarInPredicate(
+            "terminological pattern with variables requires general mode"
+        )
+    for t in (subj, obj):
+        if is_vocab_iri(t):
+            raise NonStandardUse(
+                f"reserved vocabulary {t} used as {_ARGUMENTS[kind]}")
+    if kind is ClassAtom and isinstance(obj, Var) and not general:
+        raise VarInPredicate(
+            f"variable class position {obj} requires general mode"
+        )
+    return RoleAtom(subj, pred, obj) if kind is RoleAtom else kind(subj, obj)
 
 
 def ground_atom_wellformed(atom: Atom) -> bool:
@@ -342,7 +323,7 @@ def ground_atom_wellformed(atom: Atom) -> bool:
     (a general triple pattern may bind a variable to e.g. `rdf:type`);
     such instantiations are not storable.
     """
-    if not isinstance(atom, TBOX_KINDS + ABOX_KINDS):
+    if type(atom) not in STORED_KINDS:
         return False
     if any(is_vocab_iri(t) for t in atom_terms(atom)):
         return False
@@ -464,8 +445,7 @@ class TripleStore:
         object.__setattr__(self, "tbox", frozenset(self.tbox))
         object.__setattr__(self, "abox_explicit", frozenset(self.abox_explicit))
         object.__setattr__(self, "abox_implicit", frozenset(self.abox_implicit))
-        if __debug__:
-            self.validate()
+        self.validate()
 
     def validate(self) -> None:
         """Structural invariants; cheap enough to run on every construction."""
@@ -473,12 +453,11 @@ class TripleStore:
             raise ValueError("explicit and implicit ABox overlap")
         if self.mode is not StoreMode.MATERIALISED and self.abox_implicit:
             raise ValueError(f"{self.mode.value} store cannot hold implicit triples")
-        for ax in self.tbox:
-            if not isinstance(ax, TBOX_KINDS) or not is_ground(ax):
-                raise ValueError(f"not a ground terminological axiom: {ax!r}")
-        for a in self.abox:
-            if not isinstance(a, ABOX_KINDS) or not is_ground(a):
-                raise ValueError(f"not a ground assertion: {a!r}")
+        for part, kinds, what in ((self.tbox, TBOX_KINDS, "terminological axiom"),
+                                  (self.abox, ABOX_KINDS, "assertion")):
+            for a in part:
+                if type(a) not in kinds or not is_ground(a):
+                    raise ValueError(f"not a ground {what}: {a!r}")
 
     @cached_property
     def abox(self) -> frozenset:
@@ -520,10 +499,8 @@ class TripleStore:
     def from_atoms(cls, atoms: Iterable[Atom], mode: StoreMode = StoreMode.PLAIN
                    ) -> "TripleStore":
         """Split a soup of ground atoms into TBox and (explicit) ABox."""
-        tbox, abox = set(), set()
-        for a in atoms:
-            (tbox if isinstance(a, TBOX_KINDS) else abox).add(a)
-        return cls(frozenset(tbox), frozenset(abox), frozenset(), mode)
+        tbox, abox = split_tbox_abox(atoms)
+        return cls(tbox, abox, frozenset(), mode)
 
 
 @dataclass(frozen=True)

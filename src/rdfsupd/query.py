@@ -39,17 +39,15 @@ from typing import Iterator, Optional, Union
 
 from rdfsupd.entailment import materialise, tbox_closure
 from rdfsupd.model import (
-    RDFS_SUBCLASSOF,
-    RDFS_SUBPROPERTYOF,
+    ABOX_KINDS,
+    PREDICATE,
     TBOX_KINDS,
+    TERM_GETTERS,
     AnyTermAtom,
     Atom,
     Bgp,
     ClassAtom,
-    DomainAtom,
     PathAtom,
-    RangeAtom,
-    RoleAtom,
     StoreMode,
     SubClassAtom,
     SubPropAtom,
@@ -151,18 +149,13 @@ _SHAPES = {n: [_shape(n, mask) for mask in range(1 << n)] for n in (1, 2, 3)}
 #: atom probes the map whose last column is free, so the orders make that
 #: the map the common lookups build anyway: class atoms are `(cls, inst)`,
 #: everything else follows `atom_terms`.
-_COLUMNS = {kind: attrgetter(*names) for kind, names in (
-    (ClassAtom, ("cls", "inst")), (RoleAtom, ("subj", "prop", "obj")),
-    (SubClassAtom, ("sub", "sup")), (SubPropAtom, ("sub", "sup")),
-    (DomainAtom, ("prop", "cls")), (RangeAtom, ("prop", "cls")),
-    (TriplePattern, ("subj", "pred", "obj")), (PathAtom, ("subj", "pred", "obj")))}
-_COLUMNS[AnyTermAtom] = lambda atom: (atom.term,)
+_COLUMNS = {**TERM_GETTERS, ClassAtom: attrgetter("cls", "inst")}
 
 
 def _path_rows(store: TripleStore) -> list[tuple]:
     """`(a, pred, b)` for every subsumption pair of the closed TBox, plus
     the zero-length step from each stored term to itself."""
-    preds = {SubClassAtom: RDFS_SUBCLASSOF, SubPropAtom: RDFS_SUBPROPERTYOF}
+    preds = {kind: PREDICATE[kind] for kind in (SubClassAtom, SubPropAtom)}
     rows = {(ax.sub, preds[type(ax)], ax.sup)
             for ax in tbox_closure(store.tbox) if type(ax) in preds}
     rows.update((t, p, t) for t in store.terms for p in preds.values())
@@ -176,9 +169,8 @@ def _stored(kind: type, part: str):
 
 #: Each relation's rows, one per atom kind, in `_COLUMNS` order.
 _ROWS = {kind: _stored(kind, "tbox") for kind in TBOX_KINDS}
+_ROWS.update({kind: _stored(kind, "abox") for kind in ABOX_KINDS})
 _ROWS.update({
-    ClassAtom: _stored(ClassAtom, "abox"),
-    RoleAtom: _stored(RoleAtom, "abox"),
     TriplePattern: lambda store: list(store.triples),
     PathAtom: _path_rows,
     AnyTermAtom: lambda store: [(t,) for t in store.terms],
@@ -448,7 +440,7 @@ def answers_rdfs_materialisation(pattern: Pattern, store: TripleStore,
     if store.mode is StoreMode.MATERIALISED:
         target = store
         if union.is_general or any(
-            not isinstance(a, (ClassAtom, RoleAtom))
+            type(a) not in ABOX_KINDS
             for d in union.disjuncts for a in d.atoms
         ):
             closed = tbox_closure(store.tbox)

@@ -25,8 +25,7 @@ from rdfsupd.entailment import abox_fixpoint
 from rdfsupd.errors import UnsupportedFeature
 from rdfsupd.model import (
     ABOX_KINDS,
-    RDFS_SUBCLASSOF,
-    RDFS_SUBPROPERTYOF,
+    PREDICATE,
     AnyTermAtom,
     Atom,
     Bgp,
@@ -231,7 +230,7 @@ def build_cut_update(u: UpdateOperation, direction: CutDirection
     for atom in sorted(u.delete_template, key=atom_sort_key):
         if isinstance(atom, (SubClassAtom, SubPropAtom)):
             kind = type(atom)
-            pred = RDFS_SUBCLASSOF if kind is SubClassAtom else RDFS_SUBPROPERTYOF
+            pred = PREDICATE[kind]
             cut = Var(f"{FRESH_PREFIX}c{next(counter)}")
             if direction is CutDirection.OUT:
                 new_delete.add(kind(atom.sub, cut))

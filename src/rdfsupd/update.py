@@ -14,7 +14,7 @@ mat0        naive over the closed store, then re-materialise
 mat1a       also erase every consequence of the deleted assertions
 mat1b       like mat1a but explicit inserts survive: the explicit
             partition is updated set-wise and the implicit one is
-            maintained by delete-and-rederive
+            recomputed by delete-and-rederive
 mat2        naive with the delete template joined with all its causes and
             the insert template closed under all its effects
 red0        naive with entailed WHERE bindings, then re-reduce
@@ -45,7 +45,7 @@ from rdfsupd.errors import (
 )
 from rdfsupd.model import (
     ABOX_KINDS,
-    TBOX_KINDS,
+    STORED_KINDS,
     Atom,
     Bgp,
     StoreMode,
@@ -56,6 +56,7 @@ from rdfsupd.model import (
     atom_vars,
     classify_triple,
     ground_atom_wellformed,
+    split_tbox_abox,
     substitute,
 )
 from rdfsupd.query import AnswerSet, stored_matches, update_solutions
@@ -111,25 +112,12 @@ class Semantics(Enum):
         )
 
 
-def _split_tbox_abox(atoms: frozenset) -> tuple[frozenset, frozenset]:
-    tbox = frozenset(a for a in atoms if isinstance(a, TBOX_KINDS))
-    return tbox, atoms - tbox
-
-
 @dataclass(frozen=True)
 class InstantiationResult:
     """Ground atoms to delete and insert, computed from one binding set."""
 
     deletes: frozenset
     inserts: frozenset
-
-    @property
-    def delete_abox(self) -> frozenset:
-        return frozenset(a for a in self.deletes if isinstance(a, ABOX_KINDS))
-
-    @property
-    def insert_abox(self) -> frozenset:
-        return frozenset(a for a in self.inserts if isinstance(a, ABOX_KINDS))
 
 
 def _finish_atom(a: Atom) -> Optional[Atom]:
@@ -167,7 +155,7 @@ def _ground_template(template: Bgp, theta: Substitution,
             groundings = (a,)
         elif not all(v in free or is_fresh_var(v) for v in missing):
             continue
-        elif match and isinstance(a, TBOX_KINDS + ABOX_KINDS):
+        elif match and type(a) in STORED_KINDS:
             groundings = (substitute(a, s) for s in stored_matches(a, store))
         else:
             order = tuple(missing)
@@ -225,8 +213,8 @@ def _evaluate(op: UpdateOperation, store: TripleStore, entailed: bool = False,
 
 def _apply_sets(store: TripleStore, inst: InstantiationResult) -> TripleStore:
     """(G minus deletions) union insertions; deletions first, plain result."""
-    del_tbox, del_abox = _split_tbox_abox(inst.deletes)
-    ins_tbox, ins_abox = _split_tbox_abox(inst.inserts)
+    del_tbox, del_abox = split_tbox_abox(inst.deletes)
+    ins_tbox, ins_abox = split_tbox_abox(inst.inserts)
     return TripleStore(
         tbox=(store.tbox - del_tbox) | ins_tbox,
         abox_explicit=(store.abox - del_abox) | ins_abox,
@@ -272,10 +260,11 @@ def apply_mat1a(store: TripleStore, op: UpdateOperation) -> TripleStore:
     survive: the strategy tracks no provenance."""
     _reject_terminological_templates(op, "mat1a")
     # Deletes are ground over the term universe: an instantiation that is
-    # not stored still has consequences to erase.
+    # not stored still has consequences to erase.  The templates are
+    # assertional, and so are all their instantiations.
     inst = _evaluate(op, store)
-    delete_closure = abox_fixpoint(store.tbox, inst.delete_abox)
-    abox = (store.abox - delete_closure) | inst.insert_abox
+    delete_closure = abox_fixpoint(store.tbox, inst.deletes)
+    abox = (store.abox - delete_closure) | inst.inserts
     return materialise(
         TripleStore(store.tbox, abox, frozenset(), StoreMode.PLAIN)
     )
@@ -283,15 +272,16 @@ def apply_mat1a(store: TripleStore, op: UpdateOperation) -> TripleStore:
 
 def apply_mat1b(store: TripleStore, op: UpdateOperation) -> TripleStore:
     """Partition-aware variant: deletions and insertions edit the explicit
-    ABox, and the implicit ABox is maintained incrementally by
-    delete-and-rederive (over-delete every consequence of the deleted
-    assertions, then re-derive from the surviving facts plus the new
-    explicit set).  Equivalent to re-deriving the implicit set from scratch,
-    which the property suite verifies."""
+    ABox, and the implicit ABox is recomputed by delete-and-rederive:
+    over-delete every consequence of the deleted assertions, then close the
+    surviving facts plus the new explicit set again.  That second step
+    re-closes every survivor, so it costs the size of the store, not of the
+    update (ROADMAP item 1).  Equivalent to re-deriving the implicit set
+    from scratch, which the property suite verifies."""
     _reject_terminological_templates(op, "mat1b")
     inst = _evaluate(op, store)
-    explicit = (store.abox_explicit - inst.delete_abox) | inst.insert_abox
-    survivors = store.abox - abox_fixpoint(store.tbox, inst.delete_abox)
+    explicit = (store.abox_explicit - inst.deletes) | inst.inserts
+    survivors = store.abox - abox_fixpoint(store.tbox, inst.deletes)
     closure = abox_fixpoint(store.tbox, survivors | explicit)
     return TripleStore(
         tbox=store.tbox,

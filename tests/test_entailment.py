@@ -3,9 +3,6 @@ import time
 
 from conftest import ex, medium_store
 from rdfsupd.entailment import (
-    ABOX_RULES,
-    TBOX_RULES,
-    RuleId,
     _abox_closure,
     _reach,
     abox_fixpoint,
@@ -35,14 +32,6 @@ def _chain_store():
     tbox = frozenset({SubClassAtom(ex("A"), ex("B")), SubClassAtom(ex("B"), ex("C"))})
     abox = frozenset({ClassAtom(ex("x"), ex("A"))})
     return TripleStore(tbox, abox, frozenset())
-
-
-def test_rule_partition():
-    assert ABOX_RULES == {
-        RuleId.SP_INHERIT, RuleId.RANGE, RuleId.SC_INHERIT, RuleId.DOMAIN
-    }
-    assert TBOX_RULES == {RuleId.SP_TRANS, RuleId.SC_TRANS}
-    assert ABOX_RULES | TBOX_RULES == set(RuleId)
 
 
 class TestKernel:

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import rdfsupd
 from conftest import ex
 from rdfsupd.errors import NonStandardUse, VarInPredicate
 from rdfsupd.model import (
@@ -8,8 +15,10 @@ from rdfsupd.model import (
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
+    AnyTermAtom,
     ClassAtom,
     DomainAtom,
+    PathAtom,
     RangeAtom,
     RoleAtom,
     StoreMode,
@@ -18,6 +27,8 @@ from rdfsupd.model import (
     TriplePattern,
     TripleStore,
     Var,
+    atom_sort_key,
+    atom_terms,
     atom_to_triple,
     classify_triple,
     store_diff,
@@ -83,16 +94,26 @@ class TestClassifyTriple:
             classify_triple(ex("A"), RDFS_SUBCLASSOF, RDF_TYPE)
 
     def test_roundtrip(self):
-        triples = [
-            (ex("hasFather"), RDFS_SUBPROPERTYOF, ex("hasParent")),
-            (ex("A"), RDFS_SUBCLASSOF, ex("B")),
-            (ex("p"), RDFS_DOMAIN, ex("A")),
-            (ex("p"), RDFS_RANGE, ex("A")),
-            (ex("joe"), RDF_TYPE, ex("Child")),
-            (ex("joe"), ex("hasParent"), ex("jack")),
+        cases = [
+            ((ex("hasFather"), RDFS_SUBPROPERTYOF, ex("hasParent")),
+             SubPropAtom(ex("hasFather"), ex("hasParent"))),
+            ((ex("A"), RDFS_SUBCLASSOF, ex("B")), SubClassAtom(ex("A"), ex("B"))),
+            ((ex("p"), RDFS_DOMAIN, ex("A")), DomainAtom(ex("p"), ex("A"))),
+            ((ex("p"), RDFS_RANGE, ex("A")), RangeAtom(ex("p"), ex("A"))),
+            ((ex("joe"), RDF_TYPE, ex("Child")), ClassAtom(ex("joe"), ex("Child"))),
+            ((ex("joe"), ex("hasParent"), ex("jack")),
+             RoleAtom(ex("joe"), ex("hasParent"), ex("jack"))),
         ]
-        for t in triples:
-            assert atom_to_triple(classify_triple(*t)) == t
+        for t, atom in cases:
+            assert classify_triple(*t) == atom
+            assert atom_to_triple(atom) == t
+        general = (ex("a"), Var("p"), Var("o"))
+        assert classify_triple(*general, general=True) == TriplePattern(*general)
+        assert atom_to_triple(TriplePattern(*general)) == general
+        with pytest.raises(TypeError):
+            atom_to_triple(PathAtom(ex("A"), RDFS_SUBCLASSOF, ex("B")))
+        with pytest.raises(TypeError):
+            atom_to_triple(AnyTermAtom(ex("a")))
 
 
 class TestSubstitute:
@@ -104,6 +125,31 @@ class TestSubstitute:
     def test_binding_ignores_constants(self):
         atom = ClassAtom(ex("a"), ex("C"))
         assert substitute(atom, {Var("a"): ex("z")}) == atom
+
+    def test_every_kind(self):
+        # One pattern per kind in rank order, its terms in field order, and
+        # the pattern with every variable bound.  A path's predicate is a
+        # constant and stays.
+        X, Y, Z = Var("x"), Var("y"), Var("z")
+        cases = [
+            (SubClassAtom(X, Y), (X, Y), SubClassAtom(ex("a"), ex("b"))),
+            (SubPropAtom(X, Y), (X, Y), SubPropAtom(ex("a"), ex("b"))),
+            (DomainAtom(X, Y), (X, Y), DomainAtom(ex("a"), ex("b"))),
+            (RangeAtom(X, Y), (X, Y), RangeAtom(ex("a"), ex("b"))),
+            (ClassAtom(X, Y), (X, Y), ClassAtom(ex("a"), ex("b"))),
+            (RoleAtom(X, Y, Z), (X, Y, Z), RoleAtom(ex("a"), ex("b"), ex("c"))),
+            (TriplePattern(X, Y, Z), (X, Y, Z),
+             TriplePattern(ex("a"), ex("b"), ex("c"))),
+            (PathAtom(X, RDFS_SUBCLASSOF, Z), (X, RDFS_SUBCLASSOF, Z),
+             PathAtom(ex("a"), RDFS_SUBCLASSOF, ex("c"))),
+            (AnyTermAtom(X), (X,), AnyTermAtom(ex("a"))),
+        ]
+        binding = {X: ex("a"), Y: ex("b"), Z: ex("c")}
+        for pattern, terms, ground in cases:
+            assert atom_terms(pattern) == terms
+            assert substitute(pattern, binding) == ground
+        patterns = [pattern for pattern, _, _ in cases]
+        assert sorted(reversed(patterns), key=atom_sort_key) == patterns
 
 
 class TestTripleStore:
@@ -140,6 +186,31 @@ class TestTripleStore:
         with pytest.raises(ValueError):
             TripleStore(frozenset(), frozenset({ClassAtom(Var("x"), ex("A"))}),
                         frozenset())
+
+    def test_validates_under_optimisation(self):
+        # `python -O` strips asserts and `if __debug__` blocks; the store's
+        # invariants must hold there too.
+        code = textwrap.dedent("""
+            from rdfsupd.model import ClassAtom, Iri, StoreMode, TripleStore, Var
+            a = ClassAtom(Iri("http://example.org/x"), Iri("http://example.org/A"))
+            builds = [
+                lambda: TripleStore(abox_explicit={ClassAtom(Var("x"), a.cls)}),
+                lambda: TripleStore(abox_explicit={a}, abox_implicit={a},
+                                    mode=StoreMode.MATERIALISED),
+            ]
+            for build in builds:
+                try:
+                    build()
+                except ValueError:
+                    continue
+                raise SystemExit("invalid store accepted")
+        """)
+        src_dir = str(Path(rdfsupd.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src_dir}, timeout=60,
+        )
+        assert out.returncode == 0, out.stdout + out.stderr
 
     def test_terms_universe(self, family_store):
         assert ex("joe") in family_store.terms
